@@ -738,6 +738,14 @@ class OuterGroupReport:
         }
 
 
+def _find(parent, x):
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def outer_group_experiment(semiring, cap, budget=DEFAULT_BUDGET, seed=0):
     """Count inner-equivalence classes of the entrywise carrier actions.
 
@@ -748,12 +756,6 @@ def outer_group_experiment(semiring, cap, budget=DEFAULT_BUDGET, seed=0):
     groups = automorphism_groups(semiring)
     k = len(groups.aut)
     parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     undecided = []
     for i in range(k):
@@ -766,22 +768,15 @@ def outer_group_experiment(semiring, cap, budget=DEFAULT_BUDGET, seed=0):
                 undecided.append((i, j))
                 continue
             if witness is not None:
-                parent[find(i)] = find(j)
+                parent[_find(parent, i)] = _find(parent, j)
     classes = {}
     for i in range(k):
-        classes.setdefault(find(i), []).append(i)
+        classes.setdefault(_find(parent, i), []).append(i)
     class_list = tuple(tuple(v) for _, v in sorted(classes.items()))
     merged = list(parent)
-
-    def find_merged(x):
-        while merged[x] != x:
-            merged[x] = merged[merged[x]]
-            x = merged[x]
-        return x
-
     for i, j in undecided:
-        merged[find_merged(i)] = find_merged(j)
-    lower_bound = len({find_merged(i) for i in range(k)})
+        merged[_find(merged, i)] = _find(merged, j)
+    lower_bound = len({_find(merged, i) for i in range(k)})
     consistent = not undecided and len(class_list) == groups.out_order
     return OuterGroupReport(
         semiring=semiring.name,

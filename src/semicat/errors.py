@@ -102,6 +102,3 @@ class ConfigError(SemicatError):
 class ParseError(SemicatError):
     pass
 
-
-class IoError(SemicatError):
-    pass

@@ -32,6 +32,7 @@ from .lie import (
     coefficient_ring,
     commutative_multiply,
     cyclic_aut_check,
+    exponents_up_to,
     free_module_basis,
     heisenberg,
     is_unit,
@@ -360,26 +361,12 @@ def load_lie(spec):
     return lie_from_file(spec)
 
 
-def _monomials_up_to(envelope, degree):
-    import itertools as _it
-
-    dim = envelope.lie.dim
-    out = []
-    for total in range(degree + 1):
-        for word in _it.combinations_with_replacement(range(dim), total):
-            exp = [0] * dim
-            for letter in word:
-                exp[letter] += 1
-            out.append(envelope.monomial(exp))
-    return out
-
-
 def _run_lie_suite(config, rec):
     lie, restricted = load_lie(config.lie)
     rec.add("validate", "exhaustive", True,
             witness=f"dim={lie.dim} ring={lie.ring.name}")
     envelope = UniversalEnvelope(lie)
-    monomials = _monomials_up_to(envelope, 2)
+    monomials = [envelope.monomial(exp) for exp in exponents_up_to(lie.dim, 2)]
 
     mismatch = None
     for u in monomials:

@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     UnsupportedCarrier,
 )
+from .matcat import _mat_mul
 from .semirings import Semiring
 
 # ---------------------------------------------------------------------------
@@ -307,9 +308,16 @@ def coefficient_ring(spec):
     if spec == "Q":
         return RationalField()
     if spec.startswith("zmod:"):
-        return PrimeField(int(spec.split(":", 1)[1]))
+        try:
+            p = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParseError(f"bad modulus in {spec!r}") from exc
+        return PrimeField(p)
     if spec.startswith("gf:"):
-        q = int(spec.split(":", 1)[1])
+        try:
+            q = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParseError(f"bad field order in {spec!r}") from exc
         p, k = factor_prime_power(q)
         return PrimeField(p) if k == 1 else GaloisFieldRing(q)
     raise ParseError(f"unknown coefficient ring {spec!r}")
@@ -573,28 +581,12 @@ def p_power(lie, restricted, vec):
     return out
 
 
-def _mat_mul_k(K, a, b):
-    d = len(a)
-    return tuple(
-        tuple(
-            _ksum(K, (K.mul(a[i][t], b[t][j]) for t in range(d)))
-            for j in range(d))
-        for i in range(d))
-
-
-def _ksum(K, values):
-    out = K.zero
-    for v in values:
-        out = K.add(out, v)
-    return out
-
-
 def _mat_pow_k(K, a, n):
     d = len(a)
     out = tuple(
         tuple(K.one if i == j else K.zero for j in range(d)) for i in range(d))
     for _ in range(n):
-        out = _mat_mul_k(K, out, a)
+        out = _mat_mul(K, out, a, d)
     return out
 
 
@@ -951,18 +943,6 @@ class PbwElement:
         return " + ".join(parts)
 
 
-def pbw_multiply(u, v):
-    """Canonical product in the envelope (bilinear, associative)."""
-    return u * v
-
-
-def restricted_pbw_multiply(u, v):
-    """Product in the restricted envelope; exponents stay below p."""
-    if u.envelope.restricted is None:
-        raise UnsupportedCarrier("operands are not in a restricted envelope")
-    return u * v
-
-
 def reduce_p_powers(restricted_envelope, u):
     """Rewrite an unrestricted element into the restricted envelope by
     exhausting p-th powers through the stored images."""
@@ -1091,22 +1071,26 @@ class ModuleBasisVector:
         return f"{word}{self.generator}"
 
 
-def _exponent_words(dim, degree):
-    # nondecreasing index words of the given length, lexicographically
-    return itertools.combinations_with_replacement(range(dim), degree)
+def exponents_up_to(dim, degree_cap):
+    """PBW exponent vectors by total degree, each degree in lexicographic
+    order of its nondecreasing index word."""
+    out = []
+    for degree in range(degree_cap + 1):
+        for word in itertools.combinations_with_replacement(range(dim), degree):
+            exp = [0] * dim
+            for letter in word:
+                exp[letter] += 1
+            out.append(tuple(exp))
+    return out
 
 
 def free_module_basis(lie, generators, degree_cap):
     """Module basis monomials up to the degree cap, generator-major order."""
-    out = []
-    for gen in generators:
-        for degree in range(degree_cap + 1):
-            for word in _exponent_words(lie.dim, degree):
-                exp = [0] * lie.dim
-                for letter in word:
-                    exp[letter] += 1
-                out.append(ModuleBasisVector(generator=gen, exponents=tuple(exp)))
-    return out
+    return [
+        ModuleBasisVector(generator=gen, exponents=exp)
+        for gen in generators
+        for exp in exponents_up_to(lie.dim, degree_cap)
+    ]
 
 
 def restricted_module_basis(lie, p, generators, degree_cap):

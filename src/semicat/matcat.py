@@ -115,10 +115,7 @@ class Morphism:
         """Row-vector action: a |-> a @ A."""
         if len(vector) != self.dom.rank:
             raise DimensionMismatch("vector length does not match domain rank")
-        R = self.semiring
-        return tuple(
-            R.sum(R.mul(vector[i], self.entries[i][j]) for i in range(self.dom.rank))
-            for j in range(self.cod.rank))
+        return _mat_mul(self.semiring, (vector,), self.entries, self.cod.rank)[0]
 
     def is_identity(self):
         if self.dom.rank != self.cod.rank:
@@ -187,14 +184,6 @@ def from_entries(semiring, entries, dom=None, cod=None):
         _as_object(dom if dom is not None else n),
         _as_object(cod if cod is not None else m),
         entries)
-
-
-def compose(f, g):
-    return f.then(g)
-
-
-def add_morphisms(f, g):
-    return f + g
 
 
 def morphism_to_json(m):
@@ -315,10 +304,12 @@ def _try_monomial_inverse(m):
 def invert(m, cap=DEFAULT_INVERT_CAP):
     """Two-sided inverse of a square morphism, or None if provably absent.
 
-    Tries unit/monomial fast paths first, then (finite carriers) an exhaustive
-    search over candidate matrices.  Raises SearchCapExceeded when the space
-    is larger than the cap and no fast path applied: that outcome is
-    "undecided", not "no inverse".
+    Tries unit/monomial fast paths first.  On finite carriers it then acts
+    with m on each of the |R|^n row vectors once and reads the inverse off
+    the preimages of the unit rows, so a matrix costs at most |R|^n row
+    actions.  Raises SearchCapExceeded when the |R|^(n^2) candidate matrices
+    exceed the cap and no fast path applied: that outcome is "undecided",
+    not "no inverse".
     """
     if m.dom.rank != m.cod.rank:
         raise DimensionMismatch("only square morphisms can be inverted")
@@ -340,23 +331,21 @@ def invert(m, cap=DEFAULT_INVERT_CAP):
     total = R.size ** (n * n)
     if total > cap:
         raise SearchCapExceeded(f"{total} inverse candidates exceed the cap {cap}")
-    ident = _identity_entries(R, n)
-    for cand in enumerate_morphisms(R, n, n, dom=m.cod, cod=m.dom):
-        if _product_equals(R, m.entries, cand.entries, ident) and _product_equals(
-                R, cand.entries, m.entries, ident):
-            return cand
+    # v |-> v.m is additive and R-linear on the finite set R^n.  An inverse
+    # makes it injective; an injective self-map of a finite set is a
+    # bijection, whose inverse is again linear, i.e. w |-> w.B for the B
+    # whose rows are the preimages of the unit rows.  Then mB = Bm = I.
+    preimage = {}
+    for v in itertools.product(R.elements(), repeat=n):
+        image = m.act(v)
+        if image in preimage:
+            return None
+        preimage[image] = v
+    cand = Morphism(
+        R, m.cod, m.dom, [preimage[row] for row in _identity_entries(R, n)])
+    if m.then(cand).is_identity() and cand.then(m).is_identity():
+        return cand
     return None
-
-
-def _product_equals(R, a, b, target):
-    n = len(a)
-    m = len(b)
-    for i in range(n):
-        for t in range(len(target[0])):
-            val = R.sum(R.mul(a[i][j], b[j][t]) for j in range(m))
-            if not R.eq(val, target[i][t]):
-                return False
-    return True
 
 
 _INVERTIBLE_CACHE = {}
@@ -373,18 +362,11 @@ def invertible_morphisms(semiring, n, cap=DEFAULT_INVERT_CAP):
     if total > cap:
         raise SearchCapExceeded(
             f"{total} candidate matrices exceed the enumeration cap {cap}")
-    mats = list(enumerate_morphisms(semiring, n, n))
-    ident = _identity_entries(semiring, n)
     out = []
-    for a in mats:
-        found = None
-        for b in mats:
-            if _product_equals(semiring, a.entries, b.entries, ident) and _product_equals(
-                    semiring, b.entries, a.entries, ident):
-                found = b
-                break
-        if found is not None:
-            out.append((a, found))
+    for a in enumerate_morphisms(semiring, n, n):
+        b = invert(a, cap)
+        if b is not None:
+            out.append((a, b))
     _INVERTIBLE_CACHE[cache_key] = out
     return out
 

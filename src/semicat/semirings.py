@@ -488,14 +488,9 @@ def semiring_from_dict(data):
 # units, opposites, automorphisms
 
 
-def units_of(semiring, search_bound=None):
+def units_of(semiring):
     """All two-sided units.  Finite carriers are searched exhaustively."""
-    if semiring.is_finite:
-        return list(semiring.unit_elements())
-    try:
-        return list(semiring.unit_elements())
-    except UnsupportedCarrier:
-        raise
+    return list(semiring.unit_elements())
 
 
 def opposite_semiring(semiring):

@@ -99,6 +99,27 @@ def monomials_up_to(envelope, degree):
     return out
 
 
+def brute_force_inverse(semiring, entries):
+    """Two-sided inverse of a square matrix by a pair scan over every
+    candidate matrix with a plain triple-loop product, or None."""
+    n = len(entries)
+    ident = tuple(
+        tuple(semiring.one if i == j else semiring.zero for j in range(n))
+        for i in range(n))
+
+    def product(a, b):
+        return tuple(
+            tuple(semiring.sum(semiring.mul(a[i][k], b[k][j]) for k in range(n))
+                  for j in range(n))
+            for i in range(n))
+
+    for flat in itertools.product(semiring.elements(), repeat=n * n):
+        cand = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+        if product(entries, cand) == ident and product(cand, entries) == ident:
+            return cand
+    return None
+
+
 def all_shape_morphisms(semiring, max_rank, include_zero_rank=False):
     from semicat import matcat as M
 

@@ -158,6 +158,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     path.write_text(json.dumps(broken))
     assert cli.main(["semiring", "validate", "--semiring", str(path)]) == 1
     capsys.readouterr()
+    assert cli.main(["lie", "validate", "--file", "sl2:zmod:x"]) == 2
+    capsys.readouterr()
+    assert cli.main(["lie", "validate", "--file", "sl2:gf:x"]) == 2
+    capsys.readouterr()
 
 
 def test_cli_report_show_round_trip(tmp_path, capsys):

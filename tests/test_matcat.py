@@ -13,7 +13,12 @@ from semicat.errors import (
     SemiringMismatch,
     ZeroRank,
 )
-from support import catalog_all
+from support import (
+    brute_force_inverse,
+    catalog_all,
+    catalog_finite,
+    upper_triangular_boolean,
+)
 
 
 B = S.boolean_semiring()
@@ -145,6 +150,30 @@ def test_invertible_enumeration_recheck():
     # textbook general-linear group orders
     assert len(M.invertible_morphisms(Z4, 2)) == 96
     assert len(M.invertible_morphisms(S.zmod_semiring(2), 2)) == 6
+
+
+def _check_against_pair_scan(semiring, n, matrices):
+    pool = {a.entries: b.entries for a, b in M.invertible_morphisms(semiring, n)}
+    for a in matrices:
+        expected = brute_force_inverse(semiring, a.entries)
+        found = M.invert(a)
+        assert (None if found is None else found.entries) == expected, a
+        assert pool.get(a.entries) == expected, a
+
+
+def test_inverse_search_matches_pair_scan_oracle():
+    for semiring in catalog_finite():
+        for n in (1, 2):
+            _check_against_pair_scan(
+                semiring, n, list(M.enumerate_morphisms(semiring, n, n)))
+    # noncommutative: every 1x1 matrix, and at rank 2 a seeded sample plus
+    # every matrix the pool lists as invertible
+    ut2 = upper_triangular_boolean()
+    _check_against_pair_scan(ut2, 1, list(M.enumerate_morphisms(ut2, 1, 1)))
+    everything = list(M.enumerate_morphisms(ut2, 2, 2))
+    sample = random.Random(7).sample(everything, 30)
+    sample += [a for a, _ in M.invertible_morphisms(ut2, 2)]
+    _check_against_pair_scan(ut2, 2, sample)
 
 
 def test_zero_object():
