@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     CapMismatch,
+    Check,
     DimensionMismatch,
     EquivalenceViolation,
     InjectionsNotFixed,
@@ -23,6 +24,7 @@ from .errors import (
     SearchCapExceeded,
     SemicatError,
     SemiringMismatch,
+    VerificationReport,
 )
 from .matcat import (
     BlackBoxFunctor,
@@ -154,55 +156,6 @@ def compose_functors(first, second):
 # verification sweeps
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    regime: str
-    status: str
-    witness: str = None
-    checked: int = 0
-    seed: int = None
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-    def to_json(self):
-        data = {
-            "name": self.name,
-            "regime": self.regime,
-            "status": self.status,
-            "witness": self.witness,
-            "checked": self.checked,
-        }
-        if self.regime == "sampled":
-            data["seed"] = self.seed
-        return data
-
-
-@dataclass
-class VerificationReport:
-    subject: str
-    records: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return all(r.passed for r in self.records)
-
-    def record(self, name):
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def to_json(self):
-        return {
-            "subject": self.subject,
-            "passed": self.passed,
-            "records": [r.to_json() for r in self.records],
-        }
-
-
 def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLES):
     """Check functor laws up to the rank cap; failures become report records.
 
@@ -226,13 +179,13 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPL
             regime, count = body()
         except _CheckFailure as fail:
             report.records.append(
-                CheckRecord(name, fail.regime, "fail", fail.witness, fail.checked, seed))
+                Check(name, fail.regime, "fail", fail.witness, fail.checked, seed))
         except SemicatError as exc:
             report.records.append(
-                CheckRecord(name, "exhaustive", "fail", f"error: {exc}", 0, seed))
+                Check(name, "exhaustive", "fail", f"error: {exc}", 0, seed))
         else:
             report.records.append(
-                CheckRecord(name, regime, "pass", None, count, seed))
+                Check(name, regime, "pass", None, count, seed))
 
     def object_ranks():
         count = 0

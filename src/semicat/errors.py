@@ -1,4 +1,59 @@
-"""Exception types shared across the library."""
+"""Exception types and the check record shared across the library."""
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Check:
+    """One regime-labelled claim: what was checked, how, and the outcome.
+
+    ``checked`` counts the cases examined and stays out of the JSON, as does
+    ``timing_ms`` unless asked for; ``seed`` is written only for a sampled
+    regime, the only one it affects.
+    """
+
+    name: str
+    regime: str
+    status: str
+    witness: str = None
+    checked: int = 0
+    seed: int = None
+    timing_ms: float = None
+
+    @property
+    def passed(self):
+        return self.status == "pass"
+
+    def to_json(self, include_timing=False):
+        data = {
+            "name": self.name,
+            "regime": self.regime,
+            "status": self.status,
+            "witness": self.witness,
+        }
+        if self.regime == "sampled":
+            data["seed"] = self.seed
+        if include_timing and self.timing_ms is not None:
+            data["timing_ms"] = self.timing_ms
+        return data
+
+
+@dataclass
+class VerificationReport:
+    """The checks made on one subject."""
+
+    subject: str
+    records: list = field(default_factory=list)
+
+    @property
+    def passed(self):
+        return all(r.passed for r in self.records)
+
+    def record(self, name):
+        for r in self.records:
+            if r.name == name:
+                return r
+        raise KeyError(name)
 
 
 class SemicatError(Exception):

@@ -13,7 +13,7 @@ import json
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .autfunctors import (
@@ -23,7 +23,7 @@ from .autfunctors import (
     skew_inner_functor,
     verify_functor,
 )
-from .errors import AxiomViolation, ConfigError, ParseError, SemicatError
+from .errors import Check, ConfigError, ParseError, SemicatError
 from .ibn import classify_type, left_right_ibn_agree
 from .lie import (
     UniversalEnvelope,
@@ -50,6 +50,7 @@ from .semirings import (
     check_axioms_on_sample,
     find_axiom_witness,
     load_semiring,
+    read_semiring_file,
     units_of,
 )
 
@@ -96,33 +97,6 @@ class ExperimentConfig:
 
 
 @dataclass
-class HarnessRecord:
-    name: str
-    regime: str
-    status: str
-    witness: str = None
-    seed: int = None
-    timing_ms: float = None
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-    def to_json(self, include_timing=False):
-        data = {
-            "name": self.name,
-            "regime": self.regime,
-            "status": self.status,
-            "witness": self.witness,
-        }
-        if self.regime == "sampled":
-            data["seed"] = self.seed
-        if include_timing and self.timing_ms is not None:
-            data["timing_ms"] = self.timing_ms
-        return data
-
-
-@dataclass
 class Report:
     experiment: dict
     records: list = field(default_factory=list)
@@ -163,16 +137,17 @@ def report_from_json(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
-    records = [
-        HarnessRecord(
-            name=r["name"], regime=r["regime"], status=r["status"],
-            witness=r.get("witness"), seed=r.get("seed"),
-            timing_ms=r.get("timing_ms"))
-        for r in data["records"]
-    ]
-    return Report(
-        experiment=data["experiment"], records=records,
-        version=data.get("version", __version__))
+    try:
+        return Report(
+            experiment=data["experiment"],
+            records=[
+                Check(name=r["name"], regime=r["regime"], status=r["status"],
+                      witness=r.get("witness"), seed=r.get("seed"),
+                      timing_ms=r.get("timing_ms"))
+                for r in data["records"]],
+            version=data.get("version", __version__))
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"not a report object: {exc!r}") from exc
 
 
 class _Recorder:
@@ -185,20 +160,24 @@ class _Recorder:
         try:
             witness = body()
         except SemicatError as exc:
-            status, witness = "fail", f"{type(exc).__name__}: {exc}"
+            passed, witness = False, f"{type(exc).__name__}: {exc}"
         else:
-            status = "pass"
+            passed = True
             witness = witness if isinstance(witness, str) else None
-        self.records.append(HarnessRecord(
-            name=name, regime=regime, status=status, witness=witness,
-            seed=self.seed if regime == "sampled" else None,
-            timing_ms=round((time.perf_counter() - start) * 1000.0, 3)))
+        self.add(name, regime, passed, witness,
+                 timing_ms=round((time.perf_counter() - start) * 1000.0, 3))
 
-    def add(self, name, regime, passed, witness=None):
-        self.records.append(HarnessRecord(
-            name=name, regime=regime, status="pass" if passed else "fail",
-            witness=witness,
-            seed=self.seed if regime == "sampled" else None))
+    def add(self, name, regime, passed, witness=None, timing_ms=None):
+        self.records.append(Check(
+            name, regime, "pass" if passed else "fail", witness,
+            seed=self.seed if regime == "sampled" else None, timing_ms=timing_ms))
+
+    def extend(self, prefix, checks):
+        """Record checks made elsewhere, as ``prefix:name``, with this run's seed."""
+        for c in checks:
+            self.records.append(replace(
+                c, name=f"{prefix}:{c.name}",
+                seed=self.seed if c.regime == "sampled" else None))
 
 
 def run_experiment(config):
@@ -220,52 +199,27 @@ def run_experiment(config):
 def _run_validate(config, rec):
     import os
 
-    from .errors import IndexOutOfRange
-    from .semirings import validate_semiring
-
     spec = config.semiring
     if os.path.exists(spec):
         # raw tables from a file: malformed shapes are a parse error, but
         # axiom violations become failed records
-        try:
-            with open(spec) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"cannot parse semiring file {spec}: {exc}") from exc
-        for field_name in ("size", "zero", "one", "add", "mul"):
-            if field_name not in data:
-                raise ParseError(f"semiring file missing field {field_name!r}")
-        add, mul = data["add"], data["mul"]
-        zero, one = data["zero"], data["one"]
-        try:
-            validate_semiring(add, mul, zero, one, data.get("name", "custom"))
-        except AxiomViolation:
-            pass
-        except (IndexOutOfRange, TypeError) as exc:
-            raise ParseError(f"malformed semiring tables: {exc}") from exc
-        for axiom in AXIOM_ORDER:
-            witness = find_axiom_witness(add, mul, zero, one, axiom)
-            rec.add(f"axiom:{axiom}", "exhaustive", witness is None,
-                    witness=None if witness is None else repr(witness))
-        return
-    semiring = load_semiring(spec)
-    if semiring.is_finite:
-        for axiom in AXIOM_ORDER:
-            witness = find_axiom_witness(
-                semiring.add_table, semiring.mul_table,
-                semiring.zero, semiring.one, axiom)
-            rec.add(f"axiom:{axiom}", "exhaustive", witness is None,
-                    witness=None if witness is None else repr(witness))
+        add, mul, zero, one, _ = read_semiring_file(spec)
     else:
-        rng = random.Random(f"{config.seed}:validate")
-        sample = [semiring.zero, semiring.one] + [
-            semiring.sample_element(rng) for _ in range(8)
-        ]
-
-        def body():
-            check_axioms_on_sample(semiring, sample)
-
-        rec.run("axioms-on-sample", "sampled", body)
+        semiring = load_semiring(spec)
+        if not semiring.is_finite:
+            rng = random.Random(f"{config.seed}:validate")
+            sample = [semiring.zero, semiring.one] + [
+                semiring.sample_element(rng) for _ in range(8)
+            ]
+            rec.run("axioms-on-sample", "sampled",
+                    lambda: check_axioms_on_sample(semiring, sample))
+            return
+        add, mul = semiring.add_table, semiring.mul_table
+        zero, one = semiring.zero, semiring.one
+    for axiom in AXIOM_ORDER:
+        witness = find_axiom_witness(add, mul, zero, one, axiom)
+        rec.add(f"axiom:{axiom}", "exhaustive", witness is None,
+                witness=None if witness is None else repr(witness))
 
 
 def _run_ibn(config, rec):
@@ -303,36 +257,29 @@ def _run_aut_groups(config, rec):
     rec.add("units-form-group", "exhaustive", units_closed and units_inverses)
 
 
-def _merge_verification(rec, prefix, report):
-    for r in report.records:
-        rec.records.append(HarnessRecord(
-            name=f"{prefix}:{r.name}", regime=r.regime, status=r.status,
-            witness=r.witness, seed=rec.seed if r.regime == "sampled" else None))
-
-
 def _run_functor_verify(config, rec):
     semiring = load_semiring(config.semiring)
     if semiring.is_finite:
         groups = automorphism_groups(semiring)
         for idx, sigma in enumerate(groups.aut):
             functor = semi_inner_functor(skew_inner_functor(sigma, config.cap))
-            _merge_verification(
-                rec, f"skew[{idx}]",
-                verify_functor(functor, budget=config.budget, seed=config.seed))
+            rec.extend(
+                f"skew[{idx}]",
+                verify_functor(functor, budget=config.budget, seed=config.seed).records)
         rng = random.Random(f"{config.seed}:semi-inner")
         data = random_semi_inner_data(semiring, config.cap, rng, groups)
-        _merge_verification(
-            rec, "semi-inner",
+        rec.extend(
+            "semi-inner",
             verify_functor(semi_inner_functor(data), budget=config.budget,
-                           seed=config.seed))
+                           seed=config.seed).records)
     else:
         from .semirings import identity_automorphism
 
         functor = semi_inner_functor(
             skew_inner_functor(identity_automorphism(semiring), config.cap))
-        _merge_verification(
-            rec, "skew[id]",
-            verify_functor(functor, budget=config.budget, seed=config.seed))
+        rec.extend(
+            "skew[id]",
+            verify_functor(functor, budget=config.budget, seed=config.seed).records)
 
 
 def _run_out_group(config, rec):
@@ -555,8 +502,7 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
         extra["map"] = map_name
     elif action == "units":
         report = cyclic_aut_check(envelope, config.degree_cap, seed=config.seed)
-        for name, status in report.records:
-            rec.add(f"units:{name}", "sampled", status == "pass")
+        rec.extend("units", report.records)
         rec.add("unit-count", "exhaustive", True,
                 witness=json.dumps(
                     {"count": report.unit_count, "units": report.units},

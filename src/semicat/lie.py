@@ -15,19 +15,21 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._galois import factor_prime_power, gf_tables
 from .errors import (
     AntisymmetryViolation,
     AxiomViolation,
+    Check,
     DegreeCapExceeded,
     JacobiViolation,
     NotAnAutomorphism,
     NotBracketPreserving,
     ParseError,
     UnsupportedCarrier,
+    VerificationReport,
 )
 from .matcat import _mat_mul
 from .semirings import Semiring
@@ -293,10 +295,6 @@ class ScalarAutomorphism:
             lambda x: self.inverse_func(other.inverse_func(x)),
             name=f"{self.name};{other.name}")
 
-    @property
-    def is_identity(self):
-        return self.name == "id"
-
     def __repr__(self):
         return f"scalar-aut<{self.name}>"
 
@@ -479,6 +477,8 @@ def abelian(ring, dim, labels=None):
 
 def lie_from_dict(data):
     """Parse the JSON shape {name, ring, dim, brackets, pmap?}."""
+    if not isinstance(data, dict):
+        raise ParseError("lie file is not a JSON object")
     for field_name in ("ring", "dim", "brackets"):
         if field_name not in data:
             raise ParseError(f"lie file missing field {field_name!r}")
@@ -590,48 +590,24 @@ def _mat_pow_k(K, a, n):
     return out
 
 
-@dataclass
-class RestrictedCheck:
-    name: str
-    regime: str
-    status: str
-    detail: str = ""
-
-    def to_json(self):
-        return {"name": self.name, "regime": self.regime,
-                "status": self.status, "detail": self.detail}
-
-
-@dataclass
-class RestrictedReport:
-    checks: list
-
-    @property
-    def passed(self):
-        return all(c.status == "pass" for c in self.checks)
-
-    def to_json(self):
-        return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
-
-
 def verify_restricted(lie, restricted, seed=0, samples=12):
     """Verify the restricted-algebra laws against the stored p-images.
 
     The substantive constraint is the bracket-power law on basis elements;
     the scalar and sum laws additionally exercise the extension evaluator on
     sampled inputs and on all ordered basis pairs.  Raises AxiomViolation on
-    the first failure.
+    the first failure; otherwise returns one passed Check per law.
     """
     import random as _random
 
     K = lie.ring
     p = restricted.p
-    checks = []
+    report = VerificationReport(subject=f"p-map over {K.name}")
     if K.characteristic != p:
         raise AxiomViolation(
             "characteristic", (K.characteristic, p),
             f"coefficient ring has characteristic {K.characteristic}, p-map wants {p}")
-    checks.append(RestrictedCheck("characteristic", "exhaustive", "pass"))
+    report.records.append(Check("characteristic", "exhaustive", "pass", checked=1))
 
     for i in range(lie.dim):
         lhs = lie.ad_matrix(restricted.image(i))
@@ -640,8 +616,8 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
             raise AxiomViolation(
                 "bracket-power", (i,),
                 f"ad of the p-image of basis {i} differs from the p-th ad power")
-    checks.append(RestrictedCheck(
-        "bracket-power-basis", "exhaustive", "pass", f"{lie.dim} basis elements"))
+    report.records.append(Check(
+        "bracket-power-basis", "exhaustive", "pass", checked=lie.dim))
 
     rng = _random.Random(f"{seed}:restricted")
     for _ in range(samples):
@@ -652,8 +628,8 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
         if lhs != rhs:
             raise AxiomViolation("bracket-power", tuple(sorted(g.items())),
                                  "extension evaluator breaks the ad power law")
-    checks.append(RestrictedCheck(
-        "bracket-power-combinations", "sampled", "pass", f"{samples} samples"))
+    report.records.append(Check(
+        "bracket-power-combinations", "sampled", "pass", checked=samples, seed=seed))
 
     for _ in range(samples):
         lam = K.sample(rng)
@@ -663,7 +639,8 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
         rhs = vec_scale(K, K.power(lam, p), p_power(lie, restricted, g))
         if lhs != rhs:
             raise AxiomViolation("scalar-power", (lam, i), "scalar rule broken")
-    checks.append(RestrictedCheck("scalar-power", "sampled", "pass"))
+    report.records.append(Check(
+        "scalar-power", "sampled", "pass", checked=samples, seed=seed))
 
     for i in range(lie.dim):
         for j in range(lie.dim):
@@ -679,10 +656,10 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
                 raise AxiomViolation(
                     "sum-power", (i, j),
                     f"residual {vec_add(K, lhs, vec_neg(K, rhs))!r}")
-    checks.append(RestrictedCheck(
+    report.records.append(Check(
         "sum-power-basis-pairs", "exhaustive", "pass",
-        f"{lie.dim * (lie.dim - 1)} ordered pairs"))
-    return RestrictedReport(checks=checks)
+        checked=lie.dim * (lie.dim - 1)))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1399,24 +1376,11 @@ def hat_sigma_conjugate(sigma, nu, rng=None, linearity_samples=0):
 
 
 @dataclass
-class CyclicUnitsReport:
-    ring_name: str
-    unit_count: int
-    units: list
-    records: list
+class CyclicUnitsReport(VerificationReport):
+    """The unit checks on a truncated envelope, with the scalar units found."""
 
-    @property
-    def passed(self):
-        return all(status == "pass" for _, status in self.records)
-
-    def to_json(self):
-        return {
-            "ring": self.ring_name,
-            "unit_count": self.unit_count,
-            "units": self.units,
-            "records": [list(r) for r in self.records],
-            "passed": self.passed,
-        }
+    unit_count: int = 0
+    units: list = field(default_factory=list)
 
 
 def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
@@ -1433,20 +1397,24 @@ def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
     if K.is_finite:
         units = [c for c in K.elements() if K.is_unit(c)]
         found = [c for c in K.elements() if is_unit(envelope.scalar(c))]
-        records.append((f"unit-scalars({len(found)})",
-                        "pass" if found == units else "fail"))
+        records.append(Check(
+            f"unit-scalars({len(found)})", "exhaustive",
+            "pass" if found == units else "fail", checked=len(K.elements())))
     elif K.characteristic == 0 and K.name == "Z":
         units = [c for c in range(-scan_bound, scan_bound + 1)
                  if is_unit(envelope.scalar(c))]
-        records.append(("unit-scalars({-1,1})",
-                        "pass" if sorted(units) == [-1, 1] else "fail"))
+        records.append(Check(
+            "unit-scalars({-1,1})", "sampled",
+            "pass" if sorted(units) == [-1, 1] else "fail",
+            checked=2 * scan_bound + 1, seed=seed))
     else:
         rng0 = _random.Random(f"{seed}:qunits")
         units = []
         ok = all(
             is_unit(envelope.scalar(c)) == (not K.eq(c, K.zero))
             for c in (K.sample(rng0) for _ in range(samples)))
-        records.append(("unit-scalars(K*)", "pass" if ok else "fail"))
+        records.append(Check(
+            "unit-scalars(K*)", "sampled", "pass" if ok else "fail", seed=seed))
 
     rng = _random.Random(f"{seed}:cyclic")
     ok = True
@@ -1455,7 +1423,9 @@ def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
         if u.degree() not in (None, 0) and is_unit(u):
             ok = False
             break
-    records.append(("positive-degree-non-units", "pass" if ok else "fail"))
+    records.append(Check(
+        "positive-degree-non-units", "sampled", "pass" if ok else "fail",
+        seed=seed))
 
     candidate = envelope.one() + envelope.generator(envelope.lie.dim - 1)
     refuted = not is_unit(candidate)
@@ -1464,10 +1434,12 @@ def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
         if candidate * v == envelope.one():
             refuted = False
             break
-    records.append(("one-plus-generator-refuted", "pass" if refuted else "fail"))
+    records.append(Check(
+        "one-plus-generator-refuted", "sampled", "pass" if refuted else "fail",
+        seed=seed))
     return CyclicUnitsReport(
-        ring_name=K.name,
+        subject=K.name,
+        records=records,
         unit_count=len(units),
         units=[K.value_to_json(c) for c in units],
-        records=records,
     )

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import (
     AxiomViolation,
@@ -25,16 +25,27 @@ from .errors import (
 
 DEFAULT_AUT_CANDIDATE_CAP = 400_000
 
-AXIOM_ORDER = (
-    "zero-identity",
-    "add-commutativity",
-    "add-associativity",
-    "one-identity",
-    "mul-associativity",
-    "left-distributivity",
-    "right-distributivity",
-    "zero-annihilation",
-)
+# Each axiom with its arity and a predicate that holds at an argument tuple
+# when the axiom holds there; add and mul are functions of two elements.
+AXIOMS = {
+    "zero-identity": (1, lambda add, mul, zero, one, a:
+                      add(a, zero) == a and add(zero, a) == a),
+    "add-commutativity": (2, lambda add, mul, zero, one, a, b:
+                          add(a, b) == add(b, a)),
+    "add-associativity": (3, lambda add, mul, zero, one, a, b, c:
+                          add(add(a, b), c) == add(a, add(b, c))),
+    "one-identity": (1, lambda add, mul, zero, one, a:
+                     mul(a, one) == a and mul(one, a) == a),
+    "mul-associativity": (3, lambda add, mul, zero, one, a, b, c:
+                          mul(mul(a, b), c) == mul(a, mul(b, c))),
+    "left-distributivity": (3, lambda add, mul, zero, one, a, b, c:
+                            mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
+    "right-distributivity": (3, lambda add, mul, zero, one, a, b, c:
+                             mul(add(b, c), a) == add(mul(b, a), mul(c, a))),
+    "zero-annihilation": (1, lambda add, mul, zero, one, a:
+                          mul(a, zero) == zero and mul(zero, a) == zero),
+}
+AXIOM_ORDER = tuple(AXIOMS)
 
 
 class Semiring:
@@ -243,11 +254,10 @@ class TropicalSemiring(Semiring):
         return ("tropical",)
 
 
-def validate_semiring(add_table, mul_table, zero, one, name="custom"):
-    """Exhaustively check the semiring axioms over raw index tables.
+def check_table_shapes(add_table, mul_table, zero, one):
+    """Raise IndexOutOfRange unless the tables are square over a nonempty carrier.
 
-    Raises IndexOutOfRange for malformed tables and AxiomViolation (with the
-    first failing axiom in AXIOM_ORDER and a witness tuple) otherwise.
+    Every entry, zero and one must be an int in range(size).
     """
     size = len(add_table)
     if size == 0:
@@ -264,6 +274,15 @@ def validate_semiring(add_table, mul_table, zero, one, name="custom"):
     for label, c in (("zero", zero), ("one", one)):
         if not isinstance(c, int) or not 0 <= c < size:
             raise IndexOutOfRange(f"{label} index {c!r} out of range")
+
+
+def validate_semiring(add_table, mul_table, zero, one, name="custom"):
+    """Exhaustively check the semiring axioms over raw index tables.
+
+    Raises IndexOutOfRange for malformed tables and AxiomViolation (with the
+    first failing axiom in AXIOM_ORDER and a witness tuple) otherwise.
+    """
+    check_table_shapes(add_table, mul_table, zero, one)
     for axiom in AXIOM_ORDER:
         witness = find_axiom_witness(add_table, mul_table, zero, one, axiom)
         if witness is not None:
@@ -324,62 +343,25 @@ def find_axiom_witness(add, mul, zero, one, axiom):
 
 def evaluate_axiom(add, mul, zero, one, axiom, witness):
     """True iff the axiom holds at the given witness tuple (for re-checking)."""
-    if axiom == "zero-identity":
-        (a,) = witness
-        return add[a][zero] == a and add[zero][a] == a
-    if axiom == "add-commutativity":
-        a, b = witness
-        return add[a][b] == add[b][a]
-    if axiom == "add-associativity":
-        a, b, c = witness
-        return add[add[a][b]][c] == add[a][add[b][c]]
-    if axiom == "one-identity":
-        (a,) = witness
-        return mul[a][one] == a and mul[one][a] == a
-    if axiom == "mul-associativity":
-        a, b, c = witness
-        return mul[mul[a][b]][c] == mul[a][mul[b][c]]
-    if axiom == "left-distributivity":
-        a, b, c = witness
-        return mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
-    if axiom == "right-distributivity":
-        a, b, c = witness
-        return mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]]
-    if axiom == "zero-annihilation":
-        (a,) = witness
-        return mul[a][zero] == zero and mul[zero][a] == zero
-    raise ValueError(f"unknown axiom {axiom!r}")
+    if axiom not in AXIOMS:
+        raise ValueError(f"unknown axiom {axiom!r}")
+    _, holds = AXIOMS[axiom]
+    return holds(lambda a, b: add[a][b], lambda a, b: mul[a][b], zero, one,
+                 *witness)
 
 
 def check_axioms_on_sample(semiring, sample):
     """Check all axioms over a finite sample of an infinite carrier.
 
-    Returns the list of axiom names checked; raises AxiomViolation on failure.
+    Returns the list of axiom names checked; raises AxiomViolation at the
+    first failing axiom in AXIOM_ORDER.
     """
-    add = semiring.add
-    mul = semiring.mul
-    zero, one = semiring.zero, semiring.one
     sample = list(sample)
-    for a in sample:
-        if add(a, zero) != a or add(zero, a) != a:
-            raise AxiomViolation("zero-identity", (a,))
-        if mul(a, one) != a or mul(one, a) != a:
-            raise AxiomViolation("one-identity", (a,))
-        if mul(a, zero) != zero or mul(zero, a) != zero:
-            raise AxiomViolation("zero-annihilation", (a,))
-    for a in sample:
-        for b in sample:
-            if add(a, b) != add(b, a):
-                raise AxiomViolation("add-commutativity", (a, b))
-            for c in sample:
-                if add(add(a, b), c) != add(a, add(b, c)):
-                    raise AxiomViolation("add-associativity", (a, b, c))
-                if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                    raise AxiomViolation("mul-associativity", (a, b, c))
-                if mul(a, add(b, c)) != add(mul(a, b), mul(a, c)):
-                    raise AxiomViolation("left-distributivity", (a, b, c))
-                if mul(add(b, c), a) != add(mul(b, a), mul(c, a)):
-                    raise AxiomViolation("right-distributivity", (a, b, c))
+    for axiom, (arity, holds) in AXIOMS.items():
+        for args in product(sample, repeat=arity):
+            if not holds(semiring.add, semiring.mul, semiring.zero,
+                         semiring.one, *args):
+                raise AxiomViolation(axiom, args)
     return list(AXIOM_ORDER)
 
 
@@ -463,25 +445,32 @@ def load_semiring(spec):
     raise ParseError(f"unknown semiring {spec!r} (not a built-in name or a file)")
 
 
-def semiring_from_file(path):
+def read_semiring_file(path):
+    """The (add, mul, zero, one, name) of a semiring JSON file.
+
+    The tables are shape-checked but not axiom-checked; a file that cannot be
+    read as such raises ParseError.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse semiring file {path}: {exc}") from exc
-    return semiring_from_dict(data)
-
-
-def semiring_from_dict(data):
+    if not isinstance(data, dict):
+        raise ParseError(f"semiring file {path} is not a JSON object")
     for field_name in ("size", "zero", "one", "add", "mul"):
         if field_name not in data:
             raise ParseError(f"semiring file missing field {field_name!r}")
+    tables = (data["add"], data["mul"], data["zero"], data["one"])
     try:
-        return validate_semiring(
-            data["add"], data["mul"], data["zero"], data["one"],
-            data.get("name", "custom"))
+        check_table_shapes(*tables)
     except (IndexOutOfRange, TypeError) as exc:
         raise ParseError(f"malformed semiring tables: {exc}") from exc
+    return (*tables, data.get("name", "custom"))
+
+
+def semiring_from_file(path):
+    return validate_semiring(*read_semiring_file(path))
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +560,6 @@ class MapAutomorphism:
         if self.inverse_func is None:
             raise UnsupportedCarrier(f"automorphism {self.name!r} has no stored inverse")
         return self.inverse_func(x)
-
-    @property
-    def is_identity(self):
-        return self.name == "id"
 
     def __repr__(self):
         return f"aut<{self.name}>"

@@ -4,15 +4,15 @@ import pytest
 
 from semicat import cli
 from semicat import semirings as S
-from semicat.errors import ConfigError
+from semicat.errors import Check, ConfigError
 from semicat.harness import (
     ExperimentConfig,
-    HarnessRecord,
     Report,
     emit_report,
     load_lie,
     report_from_json,
     run_experiment,
+    run_lie_command,
 )
 
 
@@ -106,6 +106,30 @@ def test_determinism_byte_identical():
         assert first == second
 
 
+def test_merged_records_keep_checked_counts():
+    from semicat.autfunctors import (
+        semi_inner_functor, skew_inner_functor, verify_functor)
+
+    report = run_experiment(config("functor-verify", semiring="gf:3"))
+    merged = next(r for r in report.records
+                  if r.name == "skew[0]:composition-preservation")
+    sigma = S.automorphism_groups(S.load_semiring("gf:3")).aut[0]
+    direct = verify_functor(
+        semi_inner_functor(skew_inner_functor(sigma, 2)), budget=200_000,
+        seed=0).record("composition-preservation")
+    assert merged.checked == direct.checked > 0
+
+
+def test_unit_scalars_over_a_finite_ring_are_exhaustive():
+    report = run_lie_command("units", config("lie-suite", lie="sl2:zmod:5"))
+    record = next(r for r in report.records
+                  if r.name.startswith("units:unit-scalars"))
+    assert record.regime == "exhaustive" and record.checked == 5
+    assert "seed" not in record.to_json()
+    sampled = [r for r in report.records if r.regime == "sampled"]
+    assert sampled and all(r.seed == 0 for r in sampled)
+
+
 def test_report_round_trip():
     report = run_experiment(config("ibn", semiring="boolean", cap=3))
     text = emit_report(report)
@@ -120,8 +144,8 @@ def test_vacuous_pass():
 
 
 def test_timing_excluded_by_default():
-    record = HarnessRecord(name="n", regime="exhaustive", status="pass",
-                           timing_ms=12.5)
+    record = Check(name="n", regime="exhaustive", status="pass",
+                   timing_ms=12.5)
     report = Report(experiment={}, records=[record])
     assert "timing_ms" not in emit_report(report)
     assert "timing_ms" in emit_report(report, include_timing=True)
@@ -162,6 +186,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["lie", "validate", "--file", "sl2:gf:x"]) == 2
     capsys.readouterr()
+    not_an_object = tmp_path / "five.json"
+    not_an_object.write_text("5")
+    for argv in (["semiring", "validate", "--semiring"],
+                 ["semiring", "autgroups", "--semiring"],
+                 ["lie", "validate", "--file"]):
+        assert cli.main(argv + [str(not_an_object)]) == 2
+        capsys.readouterr()
+    for name, text in (("list.json", "[1, 2]"),
+                       ("nameless.json", json.dumps({
+                           "experiment": {}, "records": [
+                               {"regime": "exhaustive", "status": "pass"}]}))):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main(["report", "show", str(path)]) == 2
+        capsys.readouterr()
 
 
 def test_cli_report_show_round_trip(tmp_path, capsys):

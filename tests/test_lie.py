@@ -316,7 +316,7 @@ def test_verify_restricted_sl2_f5():
     rst = L.RestrictedStructure(p=5, images=({}, {1: 1}, {}))
     report = L.verify_restricted(lie, rst)
     assert report.passed
-    names = [c.name for c in report.checks]
+    names = [c.name for c in report.records]
     assert "bracket-power-basis" in names and "sum-power-basis-pairs" in names
 
 

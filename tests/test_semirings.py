@@ -84,6 +84,20 @@ def test_infinite_builtins_pass_sampled_axioms():
         S.check_axioms_on_sample(semiring, sample)
 
 
+def test_sampled_axioms_reject_a_broken_infinite_carrier():
+    class Subtraction(S.IntegersSemiring):
+        def add(self, a, b):
+            return a - b
+
+    broken = Subtraction()
+    with pytest.raises(AxiomViolation) as exc:
+        S.check_axioms_on_sample(broken, [0, 1, 2, -3])
+    arity, holds = S.AXIOMS[exc.value.axiom]
+    assert len(exc.value.witness) == arity
+    assert not holds(broken.add, broken.mul, broken.zero, broken.one,
+                     *exc.value.witness)
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 @settings(max_examples=60, deadline=None)
 def test_tropical_distributivity_property(a, b, c):
