@@ -132,13 +132,19 @@ def emit_report(report, fmt="json", include_timing=False):
     raise ConfigError(f"unknown format {fmt!r}")
 
 
+_RECORD_FIELD_TYPES = {
+    "name": str, "regime": str, "status": str, "witness": (str, type(None)),
+    "seed": (int, type(None)), "timing_ms": (int, float, type(None)),
+}
+
+
 def report_from_json(text):
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad report JSON: {exc}") from exc
     try:
-        return Report(
+        report = Report(
             experiment=data["experiment"],
             records=[
                 Check(name=r["name"], regime=r["regime"], status=r["status"],
@@ -148,6 +154,13 @@ def report_from_json(text):
             version=data.get("version", __version__))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"not a report object: {exc!r}") from exc
+    for r in report.records:
+        for field_name, types in _RECORD_FIELD_TYPES.items():
+            value = getattr(r, field_name)
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ParseError(
+                    f"record field {field_name!r} has the wrong type: {value!r}")
+    return report
 
 
 class _Recorder:

@@ -91,6 +91,8 @@ class CoefficientRing:
         return a
 
     def value_from_json(self, data):
+        if not _is_index(data):
+            raise ParseError(f"coefficient {data!r} is not an integer")
         return data
 
     def key(self):
@@ -250,6 +252,12 @@ class GaloisFieldRing(CoefficientRing):
 
     def elements(self):
         return range(self.q)
+
+    def value_from_json(self, data):
+        value = super().value_from_json(data)
+        if not 0 <= value < self.q:
+            raise ParseError(f"{value} is not an element index of {self.name}")
+        return value
 
     def automorphisms(self):
         out = []
@@ -475,6 +483,10 @@ def abelian(ring, dim, labels=None):
     return validate_lie(ring, dim, {}, labels=labels)
 
 
+def _is_index(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def lie_from_dict(data):
     """Parse the JSON shape {name, ring, dim, brackets, pmap?}."""
     if not isinstance(data, dict):
@@ -482,23 +494,49 @@ def lie_from_dict(data):
     for field_name in ("ring", "dim", "brackets"):
         if field_name not in data:
             raise ParseError(f"lie file missing field {field_name!r}")
+    if not isinstance(data["ring"], str):
+        raise ParseError(f"lie file ring must be a string, not {data['ring']!r}")
     ring = coefficient_ring(data["ring"])
     dim = data["dim"]
-    brackets = {}
-    for item in data["brackets"]:
-        try:
-            i, j, terms = item
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed bracket entry {item!r}") from exc
-        brackets[(i, j)] = {
-            k: ring.value_from_json(c) for k, c in terms
-        }
-    lie = validate_lie(ring, dim, brackets, labels=data.get("labels"))
+    if not _is_index(dim) or dim < 0:
+        raise ParseError(f"lie file dim must be a non-negative integer, not {dim!r}")
+    labels = data.get("labels")
+    if labels is not None and (
+            not isinstance(labels, (list, tuple)) or len(labels) != dim
+            or not all(isinstance(x, str) for x in labels)):
+        raise ParseError(f"lie file labels must be {dim} strings, not {labels!r}")
+
+    def vector(terms):
+        if not isinstance(terms, (list, tuple)):
+            raise ParseError(f"coefficient terms must be a list, not {terms!r}")
+        out = {}
+        for term in terms:
+            if not (isinstance(term, (list, tuple)) and len(term) == 2
+                    and _is_index(term[0]) and 0 <= term[0] < dim):
+                raise ParseError(f"malformed coefficient term {term!r}")
+            try:
+                out[term[0]] = ring.value_from_json(term[1])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad coefficient {term[1]!r}") from exc
+        return out
+
+    def entries(field_name, arity):
+        items = data[field_name]
+        if not isinstance(items, (list, tuple)):
+            raise ParseError(f"lie file {field_name} must be a list, not {items!r}")
+        for item in items:
+            if not (isinstance(item, (list, tuple)) and len(item) == arity + 1
+                    and all(_is_index(i) and 0 <= i < dim for i in item[:arity])):
+                raise ParseError(f"malformed {field_name} entry {item!r}")
+            yield tuple(item[:arity]), vector(item[arity])
+
+    brackets = dict(entries("brackets", 2))
+    lie = validate_lie(ring, dim, brackets, labels=labels)
     restricted = None
     if data.get("pmap") is not None:
         images = [{} for _ in range(dim)]
-        for i, terms in data["pmap"]:
-            images[i] = {k: ring.value_from_json(c) for k, c in terms}
+        for (i,), image in entries("pmap", 1):
+            images[i] = image
         p = ring.characteristic
         if p == 0:
             raise ParseError("a p-map needs positive characteristic")

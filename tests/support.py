@@ -120,6 +120,54 @@ def brute_force_inverse(semiring, entries):
     return None
 
 
+def pairwise_laws_hold(functor):
+    """Whether the functor preserves every sum and every composite of
+    morphisms up to its cap, by a plain pairwise sweep over raw entries
+    with an entrywise sum and a triple-loop product."""
+    from semicat import matcat as M
+
+    R = functor.semiring
+    ranks = range(functor.cap + 1)
+    space = {
+        (n, m): [f.entries for f in M.enumerate_morphisms(R, n, m)]
+        for n in ranks for m in ranks}
+    image = {
+        (n, m, f.entries): functor.on_morphism(f).entries
+        for n in ranks for m in ranks for f in M.enumerate_morphisms(R, n, m)}
+
+    def add(a, b):
+        return tuple(tuple(R.add(x, y) for x, y in zip(ra, rb))
+                     for ra, rb in zip(a, b))
+
+    def product(a, b, inner, k):
+        out = []
+        for row in a:
+            new_row = []
+            for t in range(k):
+                acc = R.zero
+                for j in range(inner):
+                    acc = R.add(acc, R.mul(row[j], b[j][t]))
+                new_row.append(acc)
+            out.append(tuple(new_row))
+        return tuple(out)
+
+    for (n, m), fs in space.items():
+        for f in fs:
+            for g in fs:
+                if image[(n, m, add(f, g))] != add(image[(n, m, f)], image[(n, m, g)]):
+                    return False
+    for n in ranks:
+        for m in ranks:
+            for k in ranks:
+                for f in space[(n, m)]:
+                    f_image = image[(n, m, f)]
+                    for g in space[(m, k)]:
+                        lhs = image[(n, k, product(f, g, m, k))]
+                        if lhs != product(f_image, image[(m, k, g)], m, k):
+                            return False
+    return True
+
+
 def all_shape_morphisms(semiring, max_rank, include_zero_rank=False):
     from semicat import matcat as M
 

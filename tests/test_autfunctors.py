@@ -13,7 +13,7 @@ from semicat.errors import (
     NonInvertibleFamily,
     SearchCapExceeded,
 )
-from support import all_shape_morphisms
+from support import all_shape_morphisms, catalog_finite, pairwise_laws_hold
 
 B = S.boolean_semiring()
 F4 = S.galois_semiring(4)
@@ -116,6 +116,104 @@ def test_verify_functor_flags_corruption():
     assert not report.passed
     assert report.record("composition-preservation").status == "fail"
     assert report.record("composition-preservation").witness
+
+
+def _non_automorphism_permutation(semiring, groups):
+    """The first permutation of the carrier that is not an automorphism."""
+    perms = {tuple(sigma.perm) for sigma in groups.aut}
+    elements = list(semiring.elements())
+    return next((p for p in itertools.permutations(elements) if p not in perms), None)
+
+
+def _half_homomorphisms(semiring):
+    """The first carrier map fixing 0 and 1 that preserves addition but not
+    multiplication, and the first that does the reverse, where they exist."""
+    elements = list(semiring.elements())
+    found = {}
+    for phi in itertools.product(elements, repeat=len(elements)):
+        if phi[semiring.zero] != semiring.zero or phi[semiring.one] != semiring.one:
+            continue
+        kept = tuple(
+            all(phi[op(a, b)] == op(phi[a], phi[b]) for a in elements for b in elements)
+            for op in (semiring.add, semiring.mul))
+        if kept in ((True, False), (False, True)):
+            found.setdefault(kept, phi)
+    return list(found.values())
+
+
+def test_linear_certificate_agrees_with_pairwise_oracle():
+    rng = random.Random(71)
+    for semiring in catalog_finite() + [S.galois_semiring(3)]:
+        groups = S.automorphism_groups(semiring)
+        functors = [
+            A.semi_inner_functor(A.random_semi_inner_data(semiring, 2, rng, groups))
+            for _ in range(2)]
+        base = functors[0]
+        if semiring.size > 1:
+            poison = M.random_morphism(semiring, 2, 2, rng)
+            while poison.entries == M.zero_morphism(semiring, 2, 2).entries:
+                poison = M.random_morphism(semiring, 2, 2, rng)
+
+            def poisoned(f, base=base, poison=poison):
+                if f == poison:
+                    return M.zero_morphism(semiring, f.dom, f.cod)
+                return base.on_morphism(f)
+
+            functors.append(M.BlackBoxFunctor(semiring, poisoned, cap=2, name="poisoned"))
+
+            # T_n^-1 ; sigma(f) ; S_m with S_2 != T_2: every 1 x 1 law and
+            # every decomposition holds, only the biproduct relations break
+            data = A.random_semi_inner_data(semiring, 2, rng, groups)
+            left = {n: M.invert(data.component(n)) for n in (0, 1, 2)}
+            right = {n: data.component(n) for n in (0, 1)}
+            right[2] = next(t for t, _ in M.invertible_morphisms(semiring, 2)
+                            if t != data.component(2))
+
+            def mismatched(f, data=data, left=left, right=right):
+                image = f.map_entries(data.sigma.apply)
+                return left[f.dom.rank].then(image).then(right[f.cod.rank])
+
+            functors.append(M.BlackBoxFunctor(
+                semiring, mismatched, cap=2, name="mismatched"))
+        perm = _non_automorphism_permutation(semiring, groups)
+        maps = _half_homomorphisms(semiring) + ([perm] if perm is not None else [])
+        for table in maps:
+            functors.append(M.BlackBoxFunctor(
+                semiring, lambda f, table=table: f.map_entries(table.__getitem__),
+                cap=2, name=f"entrywise{table}"))
+        for functor in functors:
+            certified = A.linear_certificate(functor) is not None
+            assert certified == pairwise_laws_hold(functor), (semiring.name, functor.name)
+
+
+def _law_records(report):
+    return [report.record(name) for name in
+            ("addition-preservation", "composition-preservation")]
+
+
+def test_certificate_makes_large_sweeps_exhaustive():
+    boolean_cap3 = skew(S.identity_automorphism(B), cap=3)
+    for functor, budget in ((boolean_cap3, A.DEFAULT_BUDGET), (skew(FROB), 20000)):
+        for record in _law_records(A.verify_functor(functor, budget=budget, seed=5)):
+            assert (record.regime, record.status) == ("exhaustive", "pass")
+
+
+def test_certificate_over_budget_or_infinite_stays_sampled():
+    for record in _law_records(A.verify_functor(skew(FROB), budget=300, seed=5)):
+        assert (record.regime, record.status, record.seed) == ("sampled", "pass", 5)
+    tropical = S.TropicalSemiring()
+    functor = skew(S.identity_automorphism(tropical))
+    for record in _law_records(A.verify_functor(functor, budget=500, seed=5)):
+        assert (record.regime, record.status) == ("sampled", "pass")
+
+
+def test_certificate_work_is_linear_in_the_morphism_count():
+    rng = random.Random(21)
+    functor = A.semi_inner_functor(A.random_semi_inner_data(F4, 2, rng, F4_GROUPS))
+    records = _law_records(A.verify_functor(functor))
+    assert all(r.regime == "exhaustive" and r.passed for r in records)
+    morphisms = sum(M.count_morphisms(F4, n, m) for n in (1, 2) for m in (1, 2))
+    assert sum(r.checked for r in records) <= 2 * (morphisms + 2 * F4.size ** 2)
 
 
 def test_verify_functor_rejects_rank_change():

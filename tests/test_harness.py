@@ -193,13 +193,25 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["lie", "validate", "--file"]):
         assert cli.main(argv + [str(not_an_object)]) == 2
         capsys.readouterr()
-    for name, text in (("list.json", "[1, 2]"),
-                       ("nameless.json", json.dumps({
-                           "experiment": {}, "records": [
-                               {"regime": "exhaustive", "status": "pass"}]}))):
+    for name, data in (("dim-not-int.json", {"ring": "Q", "dim": "x", "brackets": []}),
+                       ("terms-not-list.json",
+                        {"ring": "Q", "dim": 2, "brackets": [[0, 1, 5]]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        assert cli.main(["lie", "validate", "--file", str(path)]) == 2
+        capsys.readouterr()
+    for name, text, extra in (
+            ("list.json", "[1, 2]", []),
+            ("nameless.json", json.dumps({
+                "experiment": {}, "records": [
+                    {"regime": "exhaustive", "status": "pass"}]}), []),
+            ("int-name.json", json.dumps({
+                "experiment": {}, "records": [
+                    {"name": 5, "regime": "exhaustive", "status": "pass"}]}),
+             ["--format", "text"])):
         path = tmp_path / name
         path.write_text(text)
-        assert cli.main(["report", "show", str(path)]) == 2
+        assert cli.main(["report", "show", str(path)] + extra) == 2
         capsys.readouterr()
 
 
