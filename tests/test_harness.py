@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import semicat
 from semicat import cli
 from semicat import semirings as S
 from semicat.errors import Check, ConfigError
@@ -200,6 +206,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert cli.main(["lie", "validate", "--file", str(path)]) == 2
         capsys.readouterr()
+    huge = tmp_path / "dim-3000.json"
+    huge.write_text(json.dumps({"ring": "Q", "dim": 3000, "brackets": []}))
+    for spec in (str(huge), "abelian3000:Q"):
+        start = time.perf_counter()
+        assert cli.main(["lie", "validate", "--file", spec]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "basis triples" in capsys.readouterr().err
     for name, text, extra in (
             ("list.json", "[1, 2]", []),
             ("nameless.json", json.dumps({
@@ -213,6 +226,31 @@ def test_cli_exit_codes(tmp_path, capsys):
         path.write_text(text)
         assert cli.main(["report", "show", str(path)] + extra) == 2
         capsys.readouterr()
+
+
+def test_cli_reports_identical_across_hash_seeds(tmp_path):
+    restricted = tmp_path / "sl2-restricted.json"
+    restricted.write_text(json.dumps({
+        "ring": "zmod:5", "dim": 3, "labels": ["f", "h", "e"],
+        "brackets": [[0, 1, [[0, 2]]], [0, 2, [[1, 4]]], [1, 2, [[2, 2]]]],
+        "pmap": [[0, []], [1, [[1, 1]]], [2, []]],
+    }))
+    src = str(Path(semicat.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for argv in (["lie", "mul", "--file", "sl2:Q", "--left", "e,e,h",
+                  "--right", "f,f"],
+                 ["lie", "units", "--file", "sl2:zmod:5"],
+                 ["lie", "suite", "--file", str(restricted)],
+                 ["autmorph", "verify", "--semiring", "gf:3"]):
+        outputs = []
+        for hash_seed in ("1", "2"):
+            run = subprocess.run(
+                [sys.executable, "-m", "semicat.cli", *argv],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path})
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 def test_cli_report_show_round_trip(tmp_path, capsys):

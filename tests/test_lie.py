@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ Q = L.RationalField()
 Z = L.IntegerRing()
 F2 = L.PrimeField(2)
 F5 = L.PrimeField(5)
+GF4 = L.coefficient_ring("gf:4")
 
 
 def sl2_env(ring=Q):
@@ -110,6 +112,68 @@ def test_lie_json_pmap_needs_prime_characteristic():
     }
     lie, restricted = L.lie_from_dict(good)
     assert restricted.p == 3 and restricted.image(0) == {0: 1}
+
+
+def test_lie_json_tables_are_canonical():
+    def load(ring, brackets):
+        return L.lie_from_dict({"ring": ring, "dim": 3, "brackets": brackets})[0]
+
+    for ring, brackets in (("zmod:5", [[0, 1, [[2, 5]]]]),
+                           ("zmod:5", [[0, 1, [[2, 0]]]]),
+                           ("Q", [[0, 1, []]]),
+                           ("Q", [[0, 1, [[2, 0]]]])):
+        lie = load(ring, brackets)
+        abelian = L.abelian(lie.ring, 3)
+        assert lie == abelian
+        assert L.UniversalEnvelope(lie) == L.UniversalEnvelope(abelian)
+    assert load("zmod:5", [[0, 1, [[2, 6]]]]) == load("zmod:5", [[0, 1, [[2, 1]]]])
+    assert load("zmod:5", [[0, 1, [[2, -1]]]]) == load("zmod:5", [[0, 1, [[2, 4]]]])
+
+
+# ---------------------------------------------------------------------------
+# sparse combinations
+
+SPARSE_RINGS = (Z, Q, F5, GF4)
+
+
+def ring_values(K):
+    if K is Q:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if K.is_finite:
+        return st.sampled_from(list(K.elements()))
+    return st.integers(-3, 3)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_accumulate_matches_dense_reference(data):
+    K = data.draw(st.sampled_from(SPARSE_RINGS))
+    values = ring_values(K)
+    start = L.clean_vector(K, data.draw(st.dictionaries(st.integers(0, 3), values)))
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 3), values), max_size=8))
+    c = data.draw(st.none() | values)
+    dense = [start.get(k, K.zero) for k in range(4)]
+    for k, x in terms:
+        dense[k] = K.add(dense[k], x if c is None else K.mul(c, x))
+    out = dict(start)
+    assert L._accumulate(K, out, terms, c) is out
+    assert out == {k: x for k, x in enumerate(dense) if not K.eq(x, K.zero)}
+
+
+def test_accumulate_cancels_exactly():
+    rng = random.Random(5)
+    for K in SPARSE_RINGS:
+        one, two = K.one, K.from_int(2)
+        assert L._accumulate(K, {}, [(0, one), (1, one), (0, K.neg(one))]) == {1: one}
+        assert L._accumulate(K, {0: one}, [(0, K.neg(one))]) == {}
+        assert L._accumulate(K, {}, [(0, one), (1, two)], K.zero) == {}
+        assert L.vec_scale(K, K.zero, {0: one}) == {}
+        env = L.UniversalEnvelope(L.heisenberg(K))
+        for _ in range(10):
+            u = env.sample_element(rng, max_degree=3, terms=4)
+            v = env.sample_element(rng, max_degree=3, terms=4)
+            assert (u + v) + (-v) == u
+            assert (v + (-v)).coeffs == {}
 
 
 # ---------------------------------------------------------------------------
