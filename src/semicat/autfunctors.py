@@ -36,12 +36,16 @@ from .matcat import (
     from_entries,
     identity,
     invert,
-    invertible_morphisms,
     random_invertible,
     random_morphism,
     zero_morphism,
 )
-from .semirings import MapAutomorphism, PermutationAutomorphism, automorphism_groups
+from .semirings import (
+    MapAutomorphism,
+    PermutationAutomorphism,
+    automorphism_groups,
+    is_semiring_automorphism,
+)
 
 DEFAULT_BUDGET = 200_000
 DEFAULT_SAMPLES = 200
@@ -68,9 +72,6 @@ class SemiInnerData:
     def component(self, n):
         got = self.family.get(n)
         return got if got is not None else identity(self.semiring, n)
-
-    def functor(self):
-        return semi_inner_functor(self)
 
 
 def skew_inner_functor(sigma, cap):
@@ -456,14 +457,8 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
         mapping = tuple(one_by_one(r) for r in R.elements())
         if sorted(mapping) != list(R.elements()):
             raise NotAnAutomorphism(f"1x1 action is not a carrier bijection: {mapping}")
-        if mapping[R.zero] != R.zero or mapping[R.one] != R.one:
-            raise NotAnAutomorphism("1x1 action moves zero or one")
-        for a in R.elements():
-            for b in R.elements():
-                if mapping[R.add(a, b)] != R.add(mapping[a], mapping[b]):
-                    raise NotAnAutomorphism(f"addition not preserved at ({a}, {b})")
-                if mapping[R.mul(a, b)] != R.mul(mapping[a], mapping[b]):
-                    raise NotAnAutomorphism(f"multiplication not preserved at ({a}, {b})")
+        if not is_semiring_automorphism(R, mapping):
+            raise NotAnAutomorphism(f"1x1 action is not a semiring automorphism: {mapping}")
         sigma = PermutationAutomorphism(R, mapping)
     else:
         rng = random.Random(f"{seed}:extract")
@@ -491,17 +486,9 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
 class NaturalIsoWitness:
     """Family of invertible morphisms t_n certifying F(f) = t_n^-1 ; base(f) ; t_m."""
 
-    def __init__(self, components, inverses=None):
+    def __init__(self, components, inverses):
         self.components = dict(components)
-        if inverses is not None:
-            self.inverses = dict(inverses)
-        else:
-            self.inverses = {}
-            for n, t in self.components.items():
-                ti = invert(t)
-                if ti is None:
-                    raise NonInvertibleFamily(f"witness component at rank {n} not invertible")
-                self.inverses[n] = ti
+        self.inverses = dict(inverses)
 
     def component(self, n):
         return self.components[n]
@@ -518,10 +505,10 @@ class NaturalIsoWitness:
         n, m = base_image.dom.rank, base_image.cod.rank
         return base_image.then(self.component(m)) == self.component(n).then(target_image)
 
-    def verify(self, base_action, target, morphisms):
-        """Check target(f) == t^-1 ; base(f) ; t over the given morphisms."""
+    def verify(self, target, morphisms):
+        """Check target(f) == t^-1 ; f ; t over the given morphisms."""
         for f in morphisms:
-            if target.on_morphism(f) != self.conjugate(base_action(f)):
+            if target.on_morphism(f) != self.conjugate(f):
                 return False, f
         return True, None
 
@@ -598,106 +585,68 @@ def decompose_stable_inner(functor, isos):
 # inner witnesses and the reduction machinery
 
 
-def _fixes_scalar_endos(functor, budget, seed, samples):
-    R = functor.semiring
-    if R.is_finite:
-        return all(
-            functor.on_morphism(from_entries(R, [[r]])) == from_entries(R, [[r]])
-            for r in R.elements())
-    rng = random.Random(f"{seed}:end-f1")
-    for _ in range(samples // 4 or 1):
-        f = from_entries(R, [[R.sample_element(rng)]])
-        if functor.on_morphism(f) != f:
-            return False
-    return True
-
-
 def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLES):
     """Find a conjugation family realizing the functor, or refute one.
 
-    Reconstructive route first: when the scalar endomorphisms are fixed
-    pointwise, the rank-n component is the stack of unit-row images, verified
-    against a morphism sweep.  Otherwise an exhaustive search over invertible
-    families runs within the budget.  Returns the witness, or None when the
-    search space was exhausted without one (refuted-in-budget); raises
-    SearchCapExceeded when the question had to be left undecided.
+    The paper's rank-1 reduction.  ``normalize_injections`` gives F0, which
+    fixes every canonical injection, and U with F(f) = U_n^-1 ; F0(f) ; U_m.
+    If F0(f) = s_n^-1 ; f ; s_m for some family s, fixing the injections
+    forces s_n = s_1 I_n, and s_1 = [u] for a unit u with F0([r]) = [u^-1 r u]
+    for every scalar r.  So only units are searched, R.one first, and the
+    first match u gives the candidate t_n = (u I_n) ; U_n, which is checked
+    on a morphism sweep up to the cap (exhaustive when its size fits the
+    budget, seeded samples otherwise).  Two matching units differ by a
+    central unit and conjugate alike, so one candidate decides the question.
+
+    Cost: |units| * |R| checks on a finite carrier, charged against
+    ``budget`` before the search, plus the sweep.  On an infinite commutative
+    carrier only u = 1 is tried, on ``samples // 4`` seeded scalars.
+
+    Returns the witness when the sweep confirms it; None when no family
+    exists (the stacked injection images do not invert, no unit matches the
+    1 x 1 action, or the sweep finds a counterexample); raises
+    SearchCapExceeded when the question is left undecided (the unit search
+    exceeds the budget, or the carrier is infinite and noncommutative).
     """
     R = functor.semiring
     cap = functor.cap
-    shapes = [(n, m) for n in range(1, cap + 1) for m in range(1, cap + 1)]
+    try:
+        normalized, stacks = normalize_injections(functor)
+    except NonInvertibleStack:
+        return None  # an inner functor preserves biproducts
 
-    if _fixes_scalar_endos(functor, budget, seed, samples):
-        comps = {0: identity(R, 0)}
-        reconstructed = True
-        for n in range(1, cap + 1):
-            rows = [
-                functor.on_morphism(mu).entries[0]
-                for mu in biproduct_system(R, n).injections
-            ]
-            stack = Morphism(R, n, n, rows)
-            try:
-                inv = invert(stack)
-            except SearchCapExceeded:
-                inv = None
-            if inv is None:
-                reconstructed = False
-                break
-            comps[n] = stack
-        if reconstructed:
-            witness = NaturalIsoWitness(comps)
-            _, sweep = _morphism_sweep(
-                R, shapes, budget, seed, samples, tag="inner-verify")
-            ok, _ = witness.verify(lambda f: f, functor, sweep)
-            if ok:
-                return witness
-
-    if not R.is_finite:
+    if R.is_finite:
+        units = sorted(R.unit_elements(), key=lambda u: u != R.one)
+        if len(units) * R.size > budget:
+            raise SearchCapExceeded(
+                f"{len(units)} units x {R.size} scalars exceed the budget {budget}")
+        scalars = list(R.elements())
+    elif R.is_commutative:
+        rng = random.Random(f"{seed}:end-f1")
+        units = [R.one]
+        scalars = [R.sample_element(rng) for _ in range(samples // 4 or 1)]
+    else:
         raise SearchCapExceeded(
-            "reconstruction failed and infinite carriers cannot be searched")
+            f"units of the infinite noncommutative carrier {R.name} cannot be searched")
+    action = [
+        (r, normalized.on_morphism(from_entries(R, [[r]])).entries[0][0])
+        for r in scalars]
+    for u in units:
+        v = R.try_unit_inverse(u)
+        if all(R.eq(image, R.mul(R.mul(v, r), u)) for r, image in action):
+            break
+    else:
+        return None
 
-    # Exhaustive fallback: filter per-rank candidates against the endomorphism
-    # constraints, then check cross-rank naturality for each combination.
-    work = 0
-    candidates = {}
-    for n in range(1, cap + 1):
-        pool = invertible_morphisms(R, n)
-        endos = [
-            (f, functor.on_morphism(f)) for f in enumerate_morphisms(R, n, n)
-        ]
-        work += len(pool) * len(endos)
-        if work > budget:
-            raise SearchCapExceeded(
-                f"candidate filtering needs more than the budget {budget}")
-        survivors = [
-            (t, ti) for t, ti in pool
-            if all(t.then(img) == f.then(t) for f, img in endos)
-        ]
-        if not survivors:
-            return None
-        candidates[n] = survivors
-
-    cross = {}
-    for n, m in shapes:
-        if n != m:
-            cross[(n, m)] = [
-                (f, functor.on_morphism(f)) for f in enumerate_morphisms(R, n, m)
-            ]
-    for combo in itertools.product(*(candidates[n] for n in range(1, cap + 1))):
-        comps = {0: identity(R, 0)}
-        invs = {0: identity(R, 0)}
-        for n, (t, ti) in enumerate(combo, start=1):
-            comps[n], invs[n] = t, ti
-        work += sum(len(v) for v in cross.values())
-        if work > budget:
-            raise SearchCapExceeded(
-                f"joint verification needs more than the budget {budget}")
-        good = all(
-            img == invs[n].then(f).then(comps[m])
-            for (n, m), pairs in cross.items()
-            for f, img in pairs)
-        if good:
-            return NaturalIsoWitness(comps, invs)
-    return None
+    witness = NaturalIsoWitness(
+        {n: stacks.component(n).map_entries(lambda x: R.mul(u, x))
+         for n in range(cap + 1)},
+        {n: stacks.inverse(n).map_entries(lambda x: R.mul(x, v))
+         for n in range(cap + 1)})
+    shapes = [(n, m) for n in range(1, cap + 1) for m in range(1, cap + 1)]
+    _, sweep = _morphism_sweep(R, shapes, budget, seed, samples, tag="inner-verify")
+    ok, _ = witness.verify(functor, sweep)
+    return witness if ok else None
 
 
 @dataclass

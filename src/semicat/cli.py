@@ -135,9 +135,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         report = _dispatch(args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SemicatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -168,7 +168,10 @@ class RationalField(CoefficientRing):
         return str(a)
 
     def value_from_json(self, data):
-        return Fraction(str(data))
+        try:
+            return Fraction(str(data))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"coefficient {data!r} is not a rational number") from exc
 
     def key(self):
         return ("Q",)

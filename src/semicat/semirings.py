@@ -24,6 +24,9 @@ from .errors import (
 )
 
 DEFAULT_AUT_CANDIDATE_CAP = 400_000
+# Largest carrier whose dense tables the built-in constructors build: the
+# tables are quadratic in the size and axiom validation is cubic.
+MAX_TABLE_SIZE = 256
 
 # Each axiom with its arity and a predicate that holds at an argument tuple
 # when the axiom holds there; add and mul are functions of two elements.
@@ -380,6 +383,8 @@ def trivial_semiring():
 def zmod_semiring(n):
     if n < 1:
         raise UnsupportedCarrier("modulus must be positive")
+    if n > MAX_TABLE_SIZE:
+        raise SizeLimitExceeded(f"zmod:{n} exceeds the table size limit {MAX_TABLE_SIZE}")
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     return validate_semiring(add, mul, 0, 1 % n, f"zmod:{n}")
@@ -388,6 +393,8 @@ def zmod_semiring(n):
 def galois_semiring(q):
     from ._galois import gf_tables
 
+    if q > MAX_TABLE_SIZE:
+        raise SizeLimitExceeded(f"gf:{q} exceeds the table size limit {MAX_TABLE_SIZE}")
     add, mul, _, _ = gf_tables(q)
     return validate_semiring(add, mul, 0, 1, f"gf:{q}")
 
@@ -397,11 +404,14 @@ def product_semiring(left, right, name=None):
     if not (left.is_finite and right.is_finite):
         raise UnsupportedCarrier("product requires finite factors")
     n, m = left.size, right.size
+    size = n * m
+    if size > MAX_TABLE_SIZE:
+        raise SizeLimitExceeded(
+            f"a product of {size} elements exceeds the table size limit {MAX_TABLE_SIZE}")
 
     def enc(a, b):
         return a * m + b
 
-    size = n * m
     add = [[0] * size for _ in range(size)]
     mul = [[0] * size for _ in range(size)]
     for a1 in range(n):

@@ -52,6 +52,31 @@ def upper_triangular_boolean():
     return S.validate_semiring(add, mul, pack(0, 0, 0), pack(1, 0, 1), "ut2(boolean)")
 
 
+def matrix_ring_f2():
+    """M_2(F_2), the sixteen 2x2 matrices over the two-element field.
+
+    Elements are encoded as a*8 + b*4 + c*2 + d for [[a, b], [c, d]]: a
+    noncommutative Artinian ring whose six automorphisms are all inner.
+    """
+
+    def unpack(i):
+        return (i >> 3) & 1, (i >> 2) & 1, (i >> 1) & 1, i & 1
+
+    def pack(a, b, c, d):
+        return a * 8 + b * 4 + c * 2 + d
+
+    size = 16
+    add = [[i ^ j for j in range(size)] for i in range(size)]
+    mul = [[0] * size for _ in range(size)]
+    for i in range(size):
+        a1, b1, c1, d1 = unpack(i)
+        for j in range(size):
+            a2, b2, c2, d2 = unpack(j)
+            mul[i][j] = pack((a1 & a2) ^ (b1 & c2), (a1 & b2) ^ (b1 & d2),
+                             (c1 & a2) ^ (d1 & c2), (c1 & b2) ^ (d1 & d2))
+    return S.validate_semiring(add, mul, pack(0, 0, 0, 0), pack(1, 0, 0, 1), "M2(gf:2)")
+
+
 def single_entry_perturbations(semiring):
     """All tables differing from the input in exactly one cell, in a fixed order."""
     size = semiring.size
@@ -166,6 +191,40 @@ def pairwise_laws_hold(functor):
                         if lhs != product(f_image, image[(m, k, g)], m, k):
                             return False
     return True
+
+
+def brute_force_inner_witness(functor):
+    """A witness {t_n} with F(f) = t_n^-1 ; f ; t_m for every morphism up to
+    the cap, or None, by exhaustive search: keep the invertible matrices of
+    each rank that commute with the functor on every endomorphism of that
+    rank, then test every combination of survivors on the morphisms between
+    different ranks."""
+    from semicat import autfunctors as A
+    from semicat import matcat as M
+
+    R = functor.semiring
+    ranks = range(1, functor.cap + 1)
+    candidates = []
+    for n in ranks:
+        endos = [(f, functor.on_morphism(f)) for f in M.enumerate_morphisms(R, n, n)]
+        survivors = [
+            (t, ti) for t, ti in M.invertible_morphisms(R, n)
+            if all(t.then(image) == f.then(t) for f, image in endos)]
+        if not survivors:
+            return None
+        candidates.append(survivors)
+    cross = [
+        (n, m, f, functor.on_morphism(f))
+        for n in ranks for m in ranks if n != m
+        for f in M.enumerate_morphisms(R, n, m)]
+    for combo in itertools.product(*candidates):
+        comps = {0: M.identity(R, 0)}
+        invs = {0: M.identity(R, 0)}
+        for n, (t, ti) in enumerate(combo, start=1):
+            comps[n], invs[n] = t, ti
+        if all(image == invs[n].then(f).then(comps[m]) for n, m, f, image in cross):
+            return A.NaturalIsoWitness(comps, invs)
+    return None
 
 
 def all_shape_morphisms(semiring, max_rank, include_zero_rank=False):

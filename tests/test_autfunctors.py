@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,14 @@ from semicat.errors import (
     NonInvertibleFamily,
     SearchCapExceeded,
 )
-from support import all_shape_morphisms, catalog_finite, pairwise_laws_hold
+from support import (
+    all_shape_morphisms,
+    brute_force_inner_witness,
+    catalog_finite,
+    matrix_ring_f2,
+    pairwise_laws_hold,
+    upper_triangular_boolean,
+)
 
 B = S.boolean_semiring()
 F4 = S.galois_semiring(4)
@@ -404,6 +412,79 @@ def test_inner_witness_refutes_frobenius():
 def test_inner_witness_budget_is_distinct_from_refutation():
     with pytest.raises(SearchCapExceeded):
         A.inner_witness(skew(FROB), budget=3)
+
+
+def test_inner_witness_matches_exhaustive_oracle():
+    rng = random.Random(71)
+    z2z2 = S.product_semiring(S.zmod_semiring(2), S.zmod_semiring(2))
+    for semiring in catalog_finite() + [upper_triangular_boolean(), z2z2]:
+        functors = []
+        for sigma in S.automorphism_groups(semiring).aut:
+            family = {n: M.random_invertible(semiring, n, rng)[0] for n in (1, 2)}
+            functors += [skew(sigma), A.semi_inner_functor(
+                A.SemiInnerData(semiring=semiring, sigma=sigma, family=family, cap=2))]
+        if semiring.size > 1:
+            # T_n^-1 ; f ; S_m with S_2 != T_2: not a functor
+            left = {n: M.random_invertible(semiring, n, rng) for n in (1, 2)}
+            right = {1: left[1][0], 2: next(
+                t for t, _ in M.invertible_morphisms(semiring, 2) if t != left[2][0])}
+
+            def mixed(f, left=left, right=right):
+                return left[f.dom.rank][1].then(f).then(right[f.cod.rank])
+
+            functors.append(M.BlackBoxFunctor(semiring, mixed, cap=2, name="mixed"))
+        morphisms = all_shape_morphisms(semiring, 2, include_zero_rank=True)
+        for functor in functors:
+            found = A.inner_witness(functor)
+            oracle = brute_force_inner_witness(functor)
+            assert (found is None) == (oracle is None), (semiring.name, functor.name)
+            if found is not None:
+                for f in morphisms:
+                    image = functor.on_morphism(f)
+                    assert found.conjugate(f) == image == oracle.conjugate(f)
+
+
+def test_inner_witness_finds_every_conjugation_of_m2_f2():
+    ring = matrix_ring_f2()
+    conjugations = []
+    for u in ring.unit_elements():
+        v = ring.try_unit_inverse(u)
+        conjugations.append((u, S.PermutationAutomorphism(
+            ring, [ring.mul(ring.mul(v, r), u) for r in ring.elements()])))
+    assert len({sigma.perm for _, sigma in conjugations}) == 6
+    for u, sigma in conjugations:
+        witness = A.inner_witness(skew(sigma, cap=1))
+        assert witness is not None and witness.component(1).entries == ((u,),)
+    # 66,064 morphisms up to rank 2 fit the budget, so the sweep is exhaustive
+    assert sum(M.count_morphisms(ring, n, m)
+               for n in (1, 2) for m in (1, 2)) <= A.DEFAULT_BUDGET
+    moved = [sigma for _, sigma in conjugations if not sigma.is_identity]
+    for sigma in moved[:2]:
+        functor = skew(sigma)
+        witness = A.inner_witness(functor)
+        assert witness is not None
+        for f in all_shape_morphisms(ring, 1):
+            assert functor.on_morphism(f) == witness.conjugate(f)
+
+
+def test_inner_witness_over_tropical():
+    tropical = S.TropicalSemiring()
+    doubling = S.MapAutomorphism(
+        tropical, lambda x: None if x is None else 2 * x, name="double")
+    assert A.inner_witness(skew(doubling)) is None
+    half, two = Fraction(1, 2), Fraction(2)
+    family = {1: M.from_entries(tropical, [[two]]),
+              2: M.from_entries(tropical, [[half, None], [None, -two]])}
+    functor = A.semi_inner_functor(A.SemiInnerData(
+        semiring=tropical, sigma=S.identity_automorphism(tropical),
+        family=family, cap=2))
+    witness = A.inner_witness(functor, seed=3)
+    assert witness is not None
+    rng = random.Random(5)
+    for n, m in itertools.product((1, 2), repeat=2):
+        for _ in range(10):
+            f = M.random_morphism(tropical, n, m, rng)
+            assert functor.on_morphism(f) == witness.conjugate(f)
 
 
 def test_reduction_check_identity_and_skew():

@@ -199,9 +199,16 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["lie", "validate", "--file"]):
         assert cli.main(argv + [str(not_an_object)]) == 2
         capsys.readouterr()
+    for spec in ("zmod:100000", "gf:65536"):
+        start = time.perf_counter()
+        assert cli.main(["semiring", "validate", "--semiring", spec]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "table size limit" in capsys.readouterr().err
     for name, data in (("dim-not-int.json", {"ring": "Q", "dim": "x", "brackets": []}),
                        ("terms-not-list.json",
-                        {"ring": "Q", "dim": 2, "brackets": [[0, 1, 5]]})):
+                        {"ring": "Q", "dim": 2, "brackets": [[0, 1, 5]]}),
+                       ("divide-by-zero.json",
+                        {"ring": "Q", "dim": 2, "brackets": [[0, 1, [[0, "1/0"]]]]})):
         path = tmp_path / name
         path.write_text(json.dumps(data))
         assert cli.main(["lie", "validate", "--file", str(path)]) == 2

@@ -187,6 +187,11 @@ def test_automorphism_group_closure_and_normality():
 def test_size_limit_on_enumeration():
     with pytest.raises(SizeLimitExceeded):
         S.automorphism_groups(S.zmod_semiring(12), max_candidates=10)
+    for build in (lambda: S.zmod_semiring(S.MAX_TABLE_SIZE + 1),
+                  lambda: S.galois_semiring(512),
+                  lambda: S.product_semiring(S.zmod_semiring(17), S.zmod_semiring(16))):
+        with pytest.raises(SizeLimitExceeded):
+            build()
 
 
 def test_opposite_semiring():
