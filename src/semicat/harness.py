@@ -180,9 +180,9 @@ class _Recorder:
         self.add(name, regime, passed, witness,
                  timing_ms=round((time.perf_counter() - start) * 1000.0, 3))
 
-    def add(self, name, regime, passed, witness=None, timing_ms=None):
+    def add(self, name, regime, passed, witness=None, timing_ms=None, checked=0):
         self.records.append(Check(
-            name, regime, "pass" if passed else "fail", witness,
+            name, regime, "pass" if passed else "fail", witness, checked,
             seed=self.seed if regime == "sampled" else None, timing_ms=timing_ms))
 
     def extend(self, prefix, checks):
@@ -253,7 +253,7 @@ def _run_aut_groups(config, rec):
             witness=json.dumps({
                 "aut": groups.aut_order,
                 "inn": groups.inn_order,
-                "out": groups.out_order}, sort_keys=True))
+                "out": groups.out_order}, sort_keys=True), checked=groups.steps)
     perms = {a.perm for a in groups.aut}
     closed = all(a.then(b).perm in perms for a in groups.aut for b in groups.aut)
     has_inverses = all(a.inverted().perm in perms for a in groups.aut)
@@ -328,60 +328,34 @@ def _run_lie_suite(config, rec):
     envelope = UniversalEnvelope(lie)
     monomials = [envelope.monomial(exp) for exp in exponents_up_to(lie.dim, 2)]
 
-    mismatch = None
-    for u in monomials:
-        for v in monomials:
-            if u * v != multiply_by_word_rewriting(u, v):
-                mismatch = (u, v)
-                break
-        if mismatch:
-            break
+    mismatch = next(((u, v) for u in monomials for v in monomials
+                     if u * v != multiply_by_word_rewriting(u, v)), None)
     rec.add("pbw-word-oracle-agreement", "exhaustive", mismatch is None,
             witness=None if mismatch is None else repr(mismatch))
 
-    rng = random.Random(f"{config.seed}:lie-assoc")
-    ok = True
-    for _ in range(60):
-        u = envelope.sample_element(rng, max_degree=2)
-        v = envelope.sample_element(rng, max_degree=2)
-        w = envelope.sample_element(rng, max_degree=2)
-        if (u * v) * w != u * (v * w):
-            ok = False
-            break
-    rec.add("associativity", "sampled", ok)
+    def samples(tag, count):
+        rng = random.Random(f"{config.seed}:{tag}")
+        return (envelope.sample_element(rng, max_degree=2) for _ in range(count))
 
-    ok = True
-    for u in monomials:
-        for v in monomials:
-            product = u * v
-            if product.degree() != (u.degree() or 0) + (v.degree() or 0):
-                ok = False
-                break
-            if product.leading() != commutative_multiply(u.leading(), v.leading()):
-                ok = False
-                break
-        if not ok:
-            break
-    rec.add("graded-domain-structure", "exhaustive", ok)
+    draws = samples("lie-assoc", 180)
+    triples = zip(draws, draws, draws)  # u, v, w are consecutive draws
+    rec.add("associativity", "sampled",
+            all((u * v) * w == u * (v * w) for u, v, w in triples))
 
-    rng = random.Random(f"{config.seed}:lie-units")
-    ok = is_unit(envelope.one()) and not is_unit(envelope.zero())
-    for _ in range(40):
-        u = envelope.sample_element(rng, max_degree=2)
-        expected = (
-            u.degree() == 0
-            and lie.ring.is_unit(u.constant_coefficient()))
-        if is_unit(u) != expected:
-            ok = False
-            break
-    rec.add("unit-detection", "sampled", ok)
+    products = ((u, v, u * v) for u in monomials for v in monomials)
+    rec.add("graded-domain-structure", "exhaustive", all(
+        p.degree() == (u.degree() or 0) + (v.degree() or 0)
+        and p.leading() == commutative_multiply(u.leading(), v.leading())
+        for u, v, p in products))
 
-    ok = True
-    for cap in range(0, 4):
-        expected = sum(multiset_count(lie.dim, k) for k in range(cap + 1))
-        if len(free_module_basis(lie, ("x1",), cap)) != expected:
-            ok = False
-    rec.add("free-basis-counts", "exhaustive", ok)
+    rec.add("unit-detection", "sampled", (
+        is_unit(envelope.one()) and not is_unit(envelope.zero()) and all(
+            is_unit(u) == (u.degree() == 0 and lie.ring.is_unit(u.constant_coefficient()))
+            for u in samples("lie-units", 40))))
+
+    rec.add("free-basis-counts", "exhaustive", all(
+        len(free_module_basis(lie, ("x1",), cap))
+        == sum(multiset_count(lie.dim, k) for k in range(cap + 1)) for cap in range(4)))
 
     if restricted is not None:
         def body():

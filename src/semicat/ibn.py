@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SearchCapExceeded, UnsupportedCarrier
-from .matcat import Morphism, from_entries, identity, zero_morphism
+from .matcat import Morphism, _identity_entries, _mat_mul, from_entries, identity
 from .semirings import opposite_semiring
 
 DEFAULT_PAIR_CAP = 50_000_000
@@ -32,10 +32,6 @@ class TypeClassification:
     refuted: tuple = ()  # (n, h) pairs checked (and failed) before success
     regime: str = "exhaustive"  # "exhaustive" | "cardinality" | "declared"
 
-    @property
-    def has_ibn(self):
-        return self.kind == "ibn"
-
     def to_json(self):
         data = {"kind": self.kind, "cap": self.cap, "regime": self.regime}
         if self.kind == "type":
@@ -47,8 +43,14 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
     """Search for (A: n x m, B: m x n) with A;B and B;A both identities.
 
     With ``shortcut`` enabled, finite carriers of size > 1 refute n != m by
-    cardinality without searching.  The search itself runs a column-major
-    odometer over A, then B, aborting on the first failed identity entry.
+    cardinality without searching.  The search itself is exhaustive and
+    column-separable: A;B = I_n holds exactly when column t of B solves
+    A b_t = e_t, so for each A (in column-major odometer order) the |R|^m
+    column vectors are sorted into the columns they solve, and B;A = I_m is
+    tested only on the product of those solution lists, in odometer order.
+    The first witness is the one a scan over every (A, B) pair would find.
+    ``search_cap`` caps the steps: one per column vector tried and one per
+    B;A check.  Going over it raises SearchCapExceeded.
     """
     if n < 1 or m < 1:
         raise UnsupportedCarrier("witness search needs positive ranks")
@@ -64,12 +66,23 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
         # |R|^n elements in the rank-n free semimodule; unequal sizes cannot
         # be isomorphic.
         return None
-    total = R.size ** (2 * n * m)
-    if total > search_cap:
-        raise SearchCapExceeded(f"{total} witness pairs exceed the cap {search_cap}")
+    vectors = list(itertools.product(R.elements(), repeat=m))
+    by_column = tuple(zip(*vectors))  # m x |R|^m, column k is vectors[k]
+    units, target = _identity_entries(R, n), _identity_entries(R, m)
+    steps = 0
     for a in _column_major_matrices(R, n, m):
-        for b in _column_major_matrices(R, m, n):
-            if _is_identity_product(R, a, b, n) and _is_identity_product(R, b, a, m):
+        steps += len(vectors)
+        if steps > search_cap:
+            raise SearchCapExceeded(f"the witness search exceeds its cap of {search_cap} steps")
+        images = tuple(zip(*_mat_mul(R, a, by_column, len(vectors))))
+        # one vector solves several columns when 0 = 1
+        solutions = [[v for v, image in zip(vectors, images) if image == e] for e in units]
+        for columns in itertools.product(*solutions):
+            steps += 1
+            if steps > search_cap:
+                raise SearchCapExceeded(f"the witness search exceeds its cap of {search_cap} steps")
+            b = tuple(zip(*columns))
+            if _mat_mul(R, b, a, m) == target:
                 return (
                     from_entries(R, a, dom=n, cod=m),
                     from_entries(R, b, dom=m, cod=n),
@@ -83,17 +96,6 @@ def _column_major_matrices(R, rows, cols):
         # flat[j * rows + i] fills column j from top to bottom
         yield tuple(
             tuple(flat[j * rows + i] for j in range(cols)) for i in range(rows))
-
-
-def _is_identity_product(R, a, b, size):
-    inner = len(b)
-    for i in range(size):
-        for t in range(size):
-            val = R.sum(R.mul(a[i][j], b[j][t]) for j in range(inner))
-            target = R.one if i == t else R.zero
-            if not R.eq(val, target):
-                return False
-    return True
 
 
 def classify_type(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):
@@ -175,14 +177,7 @@ def extend_witness(witness, steps_up=0, pad=0):
 
 def _block_diag(m, other):
     R = m.semiring
-    n1, m1 = m.dom.rank, m.cod.rank
-    n2, m2 = other.dom.rank, other.cod.rank
-    out = zero_morphism(R, n1 + n2, m1 + m2)
-    entries = [list(row) for row in out.entries]
-    for i in range(n1):
-        for j in range(m1):
-            entries[i][j] = m.entries[i][j]
-    for i in range(n2):
-        for j in range(m2):
-            entries[n1 + i][m1 + j] = other.entries[i][j]
-    return Morphism(R, n1 + n2, m1 + m2, entries)
+    left, right = (R.zero,) * m.cod.rank, (R.zero,) * other.cod.rank
+    return Morphism(
+        R, m.dom.rank + other.dom.rank, m.cod.rank + other.cod.rank,
+        [row + right for row in m.entries] + [left + row for row in other.entries])

@@ -1389,23 +1389,18 @@ def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
             "unit-scalars(K*)", "sampled", "pass" if ok else "fail", seed=seed))
 
     rng = random.Random(f"{seed}:cyclic")
-    ok = True
-    for _ in range(samples):
-        u = envelope.sample_element(rng, max_degree=max(1, degree_cap))
-        if u.degree() not in (None, 0) and is_unit(u):
-            ok = False
-            break
+    ok = not any(
+        u.degree() not in (None, 0) and is_unit(u) for u in (
+            envelope.sample_element(rng, max_degree=max(1, degree_cap))
+            for _ in range(samples)))
     records.append(Check(
         "positive-degree-non-units", "sampled", "pass" if ok else "fail",
         seed=seed))
 
     candidate = envelope.one() + envelope.generator(envelope.lie.dim - 1)
-    refuted = not is_unit(candidate)
-    for _ in range(samples):
-        v = envelope.sample_element(rng, max_degree=max(0, degree_cap - 1))
-        if candidate * v == envelope.one():
-            refuted = False
-            break
+    refuted = not is_unit(candidate) and not any(
+        candidate * envelope.sample_element(rng, max_degree=max(0, degree_cap - 1))
+        == envelope.one() for _ in range(samples))
     records.append(Check(
         "one-plus-generator-refuted", "sampled", "pass" if refuted else "fail",
         seed=seed))

@@ -9,11 +9,10 @@ drift.  All values are immutable and every operation here is a pure function.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from .errors import (
     AxiomViolation,
@@ -23,7 +22,7 @@ from .errors import (
     UnsupportedCarrier,
 )
 
-DEFAULT_AUT_CANDIDATE_CAP = 400_000
+DEFAULT_AUT_STEP_CAP = 400_000
 # Largest carrier whose dense tables the built-in constructors build: the
 # tables are quadratic in the size and axiom validation is cubic.
 MAX_TABLE_SIZE = 256
@@ -597,11 +596,12 @@ def is_semiring_automorphism(semiring, perm):
 
 @dataclass
 class AutomorphismGroups:
-    """Full automorphism list, the inner ones, and outer coset representatives."""
+    """Aut, Inn, outer coset representatives, and the Aut search's steps."""
 
     aut: list = field(default_factory=list)
     inn: list = field(default_factory=list)
     out_reps: list = field(default_factory=list)
+    steps: int = 0
 
     @property
     def aut_order(self):
@@ -616,27 +616,67 @@ class AutomorphismGroups:
         return len(self.out_reps)
 
 
-def automorphism_groups(semiring, max_candidates=DEFAULT_AUT_CANDIDATE_CAP):
+def automorphism_groups(semiring, max_candidates=DEFAULT_AUT_STEP_CAP):
     """Enumerate Aut, Inn (conjugation by two-sided units) and outer coset reps.
 
-    Candidate bijections are pruned to those fixing zero and one before the
-    table checks, so the loop runs over (size-2)! permutations.
+    Aut is searched by backtracking over the images of the elements in order,
+    from 0 -> 0 and 1 -> 1.  Each choice is closed under both tables (sums and
+    products of mapped elements map to those of their images); a forced image
+    that clashes or is already taken prunes the branch.  Complete maps are
+    re-checked with ``is_semiring_automorphism``.  ``max_candidates`` caps the
+    closure steps, one per table lookup; going over it raises SizeLimitExceeded.
     """
     if not semiring.is_finite:
         raise UnsupportedCarrier("automorphism enumeration needs a finite carrier")
     size = semiring.size
-    fixed = {semiring.zero, semiring.one}
-    movable = [i for i in range(size) if i not in fixed]
-    if math.factorial(len(movable)) > max_candidates:
-        raise SizeLimitExceeded(
-            f"{len(movable)}! candidate bijections exceed the cap {max_candidates}")
-    aut = []
-    for images in permutations(movable):
-        perm = list(range(size))
-        for slot, img in zip(movable, images):
-            perm[slot] = img
-        if is_semiring_automorphism(semiring, perm):
-            aut.append(PermutationAutomorphism(semiring, perm))
+    tables = (semiring.add_table, semiring.mul_table)
+    image, taken, trail = [None] * size, [False] * size, []
+    aut, steps = [], 0
+
+    def assign(x, y):
+        image[x] = y
+        taken[y] = True
+        trail.append(x)
+
+    def closed(start):
+        nonlocal steps  # each pair is checked when its later element is reached
+        for pos in range(start, size):
+            if pos == len(trail):
+                return True
+            x = trail[pos]
+            steps += 4 * (pos + 1)
+            if steps > max_candidates:
+                raise SizeLimitExceeded(
+                    f"the automorphism search exceeds its cap of {max_candidates} steps")
+            for y in trail[:pos + 1]:
+                for a, b in ((x, y), (y, x)):
+                    for table in tables:
+                        c, target = table[a][b], table[image[a]][image[b]]
+                        if image[c] is None and not taken[target]:
+                            assign(c, target)
+                        elif image[c] != target:
+                            return False
+        return True
+
+    def extend(start):
+        if closed(start):
+            if len(trail) == size:
+                if is_semiring_automorphism(semiring, image):
+                    aut.append(PermutationAutomorphism(semiring, image))
+            else:
+                x = image.index(None)
+                for y in range(size):
+                    if not taken[y]:
+                        assign(x, y)
+                        extend(len(trail) - 1)
+        while len(trail) > start:
+            x = trail.pop()
+            taken[image[x]] = False
+            image[x] = None
+
+    for fixed in dict.fromkeys((semiring.zero, semiring.one)):  # 0 = 1 when trivial
+        assign(fixed, fixed)
+    extend(0)
     aut.sort(key=lambda a: a.perm)
 
     inner_perms = set()
@@ -657,4 +697,4 @@ def automorphism_groups(semiring, max_candidates=DEFAULT_AUT_CANDIDATE_CAP):
         for inner in inn:
             coset_member = inner.then(rep).perm  # rep following the inner twist
             remaining.pop(coset_member, None)
-    return AutomorphismGroups(aut=aut, inn=inn, out_reps=out_reps)
+    return AutomorphismGroups(aut=aut, inn=inn, out_reps=out_reps, steps=steps)

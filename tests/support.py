@@ -145,6 +145,44 @@ def brute_force_inverse(semiring, entries):
     return None
 
 
+def permutation_automorphisms(semiring):
+    """The perms of every automorphism of a finite carrier, sorted, by a loop
+    over all (size-2)! bijections that fix 0 and 1."""
+    size = semiring.size
+    movable = [i for i in range(size) if i not in (semiring.zero, semiring.one)]
+    out = []
+    for images in itertools.permutations(movable):
+        perm = list(range(size))
+        for slot, img in zip(movable, images):
+            perm[slot] = img
+        if S.is_semiring_automorphism(semiring, perm):
+            out.append(tuple(perm))
+    return sorted(out)
+
+
+def pair_scan_iso_witness(semiring, n, m):
+    """The first (A: n x m, B: m x n) entries with A;B and B;A identities, or
+    None, by a scan over every pair in column-major odometer order."""
+    R = semiring
+
+    def matrices(rows, cols):
+        for flat in itertools.product(R.elements(), repeat=rows * cols):
+            yield tuple(
+                tuple(flat[j * rows + i] for j in range(cols)) for i in range(rows))
+
+    def is_identity_product(a, b):
+        return all(
+            R.sum(R.mul(a[i][j], b[j][t]) for j in range(len(b)))
+            == (R.one if i == t else R.zero)
+            for i in range(len(a)) for t in range(len(a)))
+
+    for a in matrices(n, m):
+        for b in matrices(m, n):
+            if is_identity_product(a, b) and is_identity_product(b, a):
+                return a, b
+    return None
+
+
 def pairwise_laws_hold(functor):
     """Whether the functor preserves every sum and every composite of
     morphisms up to its cap, by a plain pairwise sweep over raw entries

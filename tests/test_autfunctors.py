@@ -566,3 +566,15 @@ def test_outer_group_larger_fields_and_a_noncommutative_carrier():
     assert report.class_count == report.out_order == 2 and report.consistent
     report = A.outer_group_experiment(upper_triangular_boolean(), 1)
     assert report.class_count == report.out_order == 1 and report.consistent
+
+
+def test_outer_group_of_m2_f2_is_trivial():
+    # Skolem-Noether: every automorphism of M_2(F_2) is inner, so the six
+    # carrier actions fall into one class.  Cap 2 is left out for its cost.
+    ring = matrix_ring_f2()
+    groups = S.automorphism_groups(ring)
+    assert {a.perm for a in groups.aut} == {a.perm for a in groups.inn}
+    report = A.outer_group_experiment(ring, cap=1)
+    assert (report.aut_order, report.inn_order, report.out_order) == (6, 6, 1)
+    assert report.classes == ((0, 1, 2, 3, 4, 5),)
+    assert report.undecided == () and report.consistent

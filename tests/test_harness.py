@@ -280,6 +280,25 @@ def test_cli_autmorph_flows(capsys):
     capsys.readouterr()
 
 
+def test_cli_autgroups_past_the_factorial(capsys):
+    # (size-2)! bijections would be far over the cap on each of these
+    for spec, order in (("gf:16", 4), ("gf:32", 5), ("zmod:12", 1)):
+        start = time.perf_counter()
+        assert cli.main(["semiring", "autgroups", "--semiring", spec]) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads(capsys.readouterr().out)
+        orders = json.loads(report["records"][0]["witness"])
+        assert orders == {"aut": order, "inn": 1, "out": order}
+
+
+def test_aut_groups_steps_stay_out_of_the_json():
+    report = run_experiment(config("aut-groups", semiring="gf:8"))
+    orders = report.records[0]
+    assert orders.name == "orders"
+    assert orders.checked == S.automorphism_groups(S.galois_semiring(8)).steps > 0
+    assert "checked" not in emit_report(report)
+
+
 def test_cli_lie_commands(capsys):
     assert cli.main([
         "lie", "mul", "--file", "sl2:Q", "--left", "e", "--right", "f",

@@ -3,7 +3,7 @@ import pytest
 from semicat import ibn
 from semicat import semirings as S
 from semicat.errors import SearchCapExceeded, UnsupportedCarrier
-from support import catalog_all, upper_triangular_boolean
+from support import catalog_all, pair_scan_iso_witness, upper_triangular_boolean
 
 B = S.boolean_semiring()
 TRIVIAL = S.trivial_semiring()
@@ -57,6 +57,20 @@ def test_shortcut_and_search_agree():
                 assert fast is None and slow is None
 
 
+def test_column_search_matches_pair_scan():
+    # every (n, m) at which the pair scan finishes in about a second or less
+    small = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3))
+    cases = [(TRIVIAL, small + ((3, 2),)), (B, small + ((3, 2),)),
+             (S.zmod_semiring(3), small),
+             (upper_triangular_boolean(), ((1, 2), (2, 1)))]
+    for semiring, shapes in cases:
+        for n, m in shapes:
+            found = ibn.free_iso_witness(semiring, n, m, shortcut=False)
+            if found is not None:
+                found = tuple(x.entries for x in found)
+            assert found == pair_scan_iso_witness(semiring, n, m), (semiring.name, n, m)
+
+
 def test_declared_classification_for_builtins():
     for semiring in (S.NaturalsSemiring(), S.IntegersSemiring(), S.TropicalSemiring()):
         cls = ibn.classify_type(semiring, 3)
@@ -74,6 +88,12 @@ def test_left_right_agreement():
 def test_search_cap():
     with pytest.raises(SearchCapExceeded):
         ibn.free_iso_witness(S.galois_semiring(4), 2, 3, search_cap=10, shortcut=False)
+    # the 27 column vectors tried for each of the 729 A, plus the B;A
+    # checks, are over this cap
+    zmod3 = S.zmod_semiring(3)
+    with pytest.raises(SearchCapExceeded):
+        ibn.free_iso_witness(zmod3, 2, 3, search_cap=729 * 27, shortcut=False)
+    assert ibn.free_iso_witness(zmod3, 2, 3, search_cap=100_000, shortcut=False) is None
     with pytest.raises(UnsupportedCarrier):
         ibn.classify_type(B, 1)
 

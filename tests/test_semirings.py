@@ -13,7 +13,13 @@ from semicat.errors import (
     SizeLimitExceeded,
     UnsupportedCarrier,
 )
-from support import catalog_finite, catalog_infinite, rejected_perturbations, upper_triangular_boolean
+from support import (
+    catalog_finite,
+    catalog_infinite,
+    permutation_automorphisms,
+    rejected_perturbations,
+    upper_triangular_boolean,
+)
 
 
 def test_boolean_is_valid():
@@ -138,6 +144,28 @@ def test_automorphism_group_orders():
     assert all(frob.apply(x) == f4.mul(x, x) for x in range(4))
     assert S.automorphism_groups(S.galois_semiring(8)).aut_order == 3
     assert S.automorphism_groups(S.galois_semiring(9)).aut_order == 2
+
+
+def test_closure_search_matches_permutation_oracle():
+    # carriers with at most 9 elements besides 0 and 1, where the loop over
+    # (size-2)! bijections finishes
+    carriers = catalog_finite() + [
+        upper_triangular_boolean(),
+        S.product_semiring(S.zmod_semiring(2), S.zmod_semiring(2)),
+    ] + [S.load_semiring(spec)
+         for spec in ("gf:5", "gf:8", "gf:9", "zmod:6", "zmod:11")]
+    for semiring in carriers:
+        groups = S.automorphism_groups(semiring)
+        assert [a.perm for a in groups.aut] == permutation_automorphisms(semiring)
+        assert groups.steps > 0
+
+
+def test_closure_search_cap_charges_its_steps():
+    gf16 = S.galois_semiring(16)  # 14! bijections, past any permutation loop
+    steps = S.automorphism_groups(gf16).steps
+    assert S.automorphism_groups(gf16, max_candidates=steps).aut_order == 4
+    with pytest.raises(SizeLimitExceeded):
+        S.automorphism_groups(gf16, max_candidates=steps - 1)
 
 
 def test_galois_tables_are_fields():
