@@ -9,6 +9,7 @@ checks; every report records which regime applied.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .errors import (
 from .matcat import (
     BlackBoxFunctor,
     Morphism,
+    biproduct_defect,
     biproduct_system,
     canonical,
     count_morphisms,
@@ -213,19 +215,11 @@ def linear_certificate(functor, budget=DEFAULT_BUDGET):
                 return None
 
     mu, pi = {}, {}
-    nought = zero_morphism(R, obj[1], obj[1])
     for n in ranks:
         system = biproduct_system(R, n)
         mu[n] = [functor.on_morphism(x) for x in system.injections]
         pi[n] = [functor.on_morphism(x) for x in system.projections]
-        for i in range(n):
-            for j in range(n):
-                if mu[n][i].then(pi[n][j]) != (one if i == j else nought):
-                    return None
-        total = zero_morphism(R, obj[n], obj[n])
-        for i in range(n):
-            total = total + pi[n][i].then(mu[n][i])
-        if total != identity(R, obj[n]):
+        if any(biproduct_defect(mu[n], pi[n], i) for i in range(n)):
             return None
 
     add = R.add
@@ -255,12 +249,12 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPL
     Addition and composition are first tried through ``linear_certificate``
     (finite carriers, when its cost fits the budget): if it holds, both
     records pass as exhaustive for every pair up to the cap, with its checks
-    as their counts.  If it fails or cannot run, the pairwise sweep decides:
-    over all pairs when their number fits the budget, otherwise on a seeded
-    sample; it is also the path that names a concrete failing pair.
+    as their counts.  If it fails or cannot run, ``_morphism_sweep`` decides
+    the pairs: all of them when their number fits the budget, otherwise a
+    seeded sample; it is also the path that names a concrete failing pair.
     """
     R = functor.semiring
-    ranks = list(range(0, functor.cap + 1))
+    ranks = range(0, functor.cap + 1)
     report = VerificationReport(subject=functor.name)
     image_cache = {}
     try:
@@ -275,160 +269,99 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPL
             image_cache[m] = got
         return got
 
-    def run(name, body):
+    def obj(n):
+        return functor.on_object(canonical(n))
+
+    def law(name, regime, cases, broken):
+        """Record the first case ``broken`` names a witness for, else a pass."""
+        count, witness = 0, None
         try:
-            regime, count = body()
-        except _CheckFailure as fail:
-            report.records.append(
-                Check(name, fail.regime, "fail", fail.witness, fail.checked, seed))
+            for count, case in enumerate(cases, 1):
+                witness = broken(*case)
+                if witness is not None:
+                    break
         except SemicatError as exc:
-            report.records.append(
-                Check(name, "exhaustive", "fail", f"error: {exc}", 0, seed))
-        else:
-            report.records.append(
-                Check(name, regime, "pass", None, count, seed))
+            regime, witness, count = "exhaustive", f"error: {exc}", 0
+        status = "pass" if witness is None else "fail"
+        report.records.append(Check(name, regime, status, witness, count, seed))
 
-    def object_ranks():
-        count = 0
-        for n in ranks:
-            count += 1
-            obj = functor.on_object(canonical(n))
-            if obj.rank != n:
-                raise _CheckFailure("exhaustive", f"rank {n} sent to rank {obj.rank}", count)
-        return "exhaustive", count
+    def identity_moved(n):
+        image = image_of(identity(R, n))
+        if image != identity(R, obj(n)):
+            return f"identity at rank {n} moved: {image!r}"
+        return None
 
-    def identities():
-        count = 0
-        for n in ranks:
-            count += 1
-            image = image_of(identity(R, n))
-            if image != identity(R, functor.on_object(canonical(n))):
-                raise _CheckFailure("exhaustive", f"identity at rank {n} moved: {image!r}", count)
-        return "exhaustive", count
+    def composition_broken(f_pair, g_pair):
+        (f, image_f), (g, image_g) = f_pair, g_pair
+        if image_of(f.then(g)) != image_f.then(image_g):
+            return f"composition broken at {f!r} ; {g!r}"
+        return None
 
-    def zeros():
-        count = 0
-        for n in ranks:
-            for m in ranks:
-                count += 1
-                z = zero_morphism(R, n, m)
-                expected = zero_morphism(
-                    R, functor.on_object(canonical(n)), functor.on_object(canonical(m)))
-                if image_of(z) != expected:
-                    raise _CheckFailure("exhaustive", f"zero {n}->{m} moved", count)
-        return "exhaustive", count
-
-    def addition():
-        if certified is not None:
-            return "exhaustive", certified[0]
-        shapes = [(n, m) for n in ranks for m in ranks if n * m > 0]
-        exhaustive = R.is_finite and sum(
-            count_morphisms(R, n, m) ** 2 for n, m in shapes) <= budget
-        regime = "exhaustive" if exhaustive else "sampled"
-        rng = random.Random(f"{seed}:addition")
-        count = 0
-        for n, m in shapes:
-            if exhaustive:
-                space = list(enumerate_morphisms(R, n, m))
-                pairs = itertools.product(space, space)
-            else:
-                pairs = (
-                    (random_morphism(R, n, m, rng), random_morphism(R, n, m, rng))
-                    for _ in range(max(1, samples // len(shapes))))
-            for f, g in pairs:
-                count += 1
-                if image_of(f + g) != image_of(f) + image_of(g):
-                    raise _CheckFailure(
-                        regime, f"addition broken at {f!r} + {g!r}", count)
-        return regime, count
-
-    def composition():
-        if certified is not None:
-            return "exhaustive", certified[1]
-        shapes = [(n, m, k) for n in ranks for m in ranks for k in ranks]
-        exhaustive = R.is_finite and sum(
-            count_morphisms(R, n, m) * count_morphisms(R, m, k)
-            for n, m, k in shapes) <= budget
-        regime = "exhaustive" if exhaustive else "sampled"
-        rng = random.Random(f"{seed}:composition")
-        count = 0
-        for n, m, k in shapes:
-            if exhaustive:
-                lefts = [(f, image_of(f))
-                         for f in enumerate_morphisms(R, n, m)]
-                rights = [(g, image_of(g))
-                          for g in enumerate_morphisms(R, m, k)]
-                pairs = itertools.product(lefts, rights)
-            else:
-                draws = []
-                for _ in range(max(1, samples // len(shapes))):
-                    f = random_morphism(R, n, m, rng)
-                    g = random_morphism(R, m, k, rng)
-                    draws.append(((f, image_of(f)), (g, image_of(g))))
-                pairs = draws
-            for (f, f_img), (g, g_img) in pairs:
-                count += 1
-                if image_of(f.then(g)) != f_img.then(g_img):
-                    raise _CheckFailure(
-                        regime, f"composition broken at {f!r} ; {g!r}", count)
-        return regime, count
-
-    def biproducts():
-        count = 0
-        for n in ranks:
-            if n < 1:
-                continue
+    def biproduct_rows():
+        for n in ranks[1:]:
             system = biproduct_system(R, n)
             mu = [image_of(x) for x in system.injections]
             pi = [image_of(x) for x in system.projections]
-            obj_n = functor.on_object(canonical(n))
-            obj_1 = functor.on_object(canonical(1))
-            total = zero_morphism(R, obj_n, obj_n)
-            for i in range(n):
-                count += 1
-                total = total + pi[i].then(mu[i])
-                if mu[i].then(pi[i]) != identity(R, obj_1):
-                    raise _CheckFailure(
-                        "exhaustive", f"image injection/projection pairing broken at rank {n}", count)
-                for j in range(n):
-                    if i != j and mu[i].then(pi[j]) != zero_morphism(R, obj_1, obj_1):
-                        raise _CheckFailure(
-                            "exhaustive", f"image cross pairing not zero at rank {n}", count)
-            if total != identity(R, obj_n):
-                raise _CheckFailure(
-                    "exhaustive", f"image biproduct sum is not the identity at rank {n}", count)
-        return "exhaustive", count
+            yield from ((mu, pi, i) for i in range(n))
 
-    run("object-ranks", object_ranks)
-    run("identity-preservation", identities)
-    run("zero-preservation", zeros)
-    run("addition-preservation", addition)
-    run("composition-preservation", composition)
-    run("biproduct-images", biproducts)
+    law("object-ranks", "exhaustive", ((n, obj(n).rank) for n in ranks),
+        lambda n, rank: None if rank == n else f"rank {n} sent to rank {rank}")
+    law("identity-preservation", "exhaustive", ((n,) for n in ranks), identity_moved)
+    law("zero-preservation", "exhaustive", ((n, m) for n in ranks for m in ranks),
+        lambda n, m: None if zero_morphism(R, obj(n), obj(m)) == image_of(
+            zero_morphism(R, n, m)) else f"zero {n}->{m} moved")
+    if certified is None:
+        regime, cases = _morphism_sweep(
+            R, [((n, m), (n, m)) for n in ranks for m in ranks if n * m > 0],
+            budget, seed, samples, tag="addition")
+        law("addition-preservation", regime, cases,
+            lambda f, g: None if image_of(f + g) == image_of(f) + image_of(g)
+            else f"addition broken at {f!r} + {g!r}")
+        # each morphism carries its image, looked up once and not once per pair
+        regime, cases = _morphism_sweep(
+            R, [((n, m), (m, k)) for n in ranks for m in ranks for k in ranks],
+            budget, seed, samples, tag="composition", each=lambda f: (f, image_of(f)))
+        law("composition-preservation", regime, cases, composition_broken)
+    else:
+        for name, checks in zip(("addition-preservation", "composition-preservation"),
+                                certified):
+            report.records.append(Check(name, "exhaustive", "pass", None, checks, seed))
+    law("biproduct-images", "exhaustive", biproduct_rows(), biproduct_defect)
     return report
 
 
-class _CheckFailure(Exception):
-    def __init__(self, regime, witness, checked):
-        self.regime = regime
-        self.witness = witness
-        self.checked = checked
-        super().__init__(witness)
+def _morphism_sweep(R, shapes, budget, seed, samples=DEFAULT_SAMPLES, tag="sweep",
+                    each=None):
+    """Return (regime, cases): one tuple of morphisms per case over ``shapes``.
 
+    A shape is a tuple of (n, m) factors and a case holds one morphism of
+    each factor, passed through ``each`` when it is given.  The sweep is
+    exhaustive when the carrier is finite and the sum over the shapes of the
+    product of their factors' morphism counts is at most ``budget``: the
+    cases are then every combination, shape by shape, in ``itertools.product``
+    order over the row-major lexicographic enumeration of each factor.  A
+    shape's factors are enumerated (and ``each`` applied to them) when the
+    sweep reaches it, and its cases are yielded one at a time.  Otherwise the
+    sweep is sampled: ``max(1, samples // len(shapes))`` cases per shape,
+    shape by shape, each drawn factor by factor from
+    ``random.Random(f"{seed}:{tag}")``.  Seeded reports name their failing
+    cases by this draw order, so it must not move.
+    """
+    each = each or (lambda f: f)
 
-def _morphism_sweep(R, shapes, budget, seed, samples=DEFAULT_SAMPLES, tag="sweep"):
-    """Yield (regime, morphisms) covering the given (n, m) shapes."""
-    if R.is_finite and sum(count_morphisms(R, n, m) for n, m in shapes) <= budget:
-        out = []
-        for n, m in shapes:
-            out.extend(enumerate_morphisms(R, n, m))
-        return "exhaustive", out
+    def every_case():
+        for shape in shapes:  # equal factors share one enumeration
+            spaces = {nm: [each(f) for f in enumerate_morphisms(R, *nm)] for nm in shape}
+            yield from itertools.product(*map(spaces.get, shape))
+
+    if R.is_finite and sum(
+            math.prod(count_morphisms(R, n, m) for n, m in shape)
+            for shape in shapes) <= budget:
+        return "exhaustive", every_case()
     rng = random.Random(f"{seed}:{tag}")
-    out = []
-    for n, m in shapes:
-        for _ in range(max(1, samples // len(shapes))):
-            out.append(random_morphism(R, n, m, rng))
-    return "sampled", out
+    return "sampled", (
+        tuple(each(random_morphism(R, n, m, rng)) for n, m in shape)
+        for shape in shapes for _ in range(max(1, samples // len(shapes))))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +406,10 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
                 raise NotAnAutomorphism(f"multiplication not preserved at ({a!r}, {b!r})")
         sigma = MapAutomorphism(R, one_by_one, name="extracted")
 
-    shapes = [(n, m) for n in range(1, functor.cap + 1)
+    shapes = [((n, m),) for n in range(1, functor.cap + 1)
               for m in range(1, functor.cap + 1)]
     _, sweep = _morphism_sweep(R, shapes, budget, seed, samples, tag="extract-agree")
-    for f in sweep:
+    for (f,) in sweep:
         if functor.on_morphism(f) != f.map_entries(sigma.apply):
             raise NotAnAutomorphism(
                 f"extracted carrier map does not reproduce the functor at {f!r}")
@@ -643,9 +576,9 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
          for n in range(cap + 1)},
         {n: stacks.inverse(n).map_entries(lambda x: R.mul(x, v))
          for n in range(cap + 1)})
-    shapes = [(n, m) for n in range(1, cap + 1) for m in range(1, cap + 1)]
+    shapes = [((n, m),) for n in range(1, cap + 1) for m in range(1, cap + 1)]
     _, sweep = _morphism_sweep(R, shapes, budget, seed, samples, tag="inner-verify")
-    ok, _ = witness.verify(functor, sweep)
+    ok, _ = witness.verify(functor, (f for (f,) in sweep))
     return witness if ok else None
 
 
@@ -692,12 +625,12 @@ def reduction_precondition_check(functor, n, budget=DEFAULT_BUDGET, seed=0,
     R = functor.semiring
     system = biproduct_system(R, n)
     regime, endos = _morphism_sweep(
-        R, [(n, n)], budget, seed, samples, tag=f"reduction-endo-{n}")
-    monoid_fixed = all(functor.on_morphism(f) == f for f in endos)
+        R, [((n, n),)], budget, seed, samples, tag=f"reduction-endo-{n}")
+    monoid_fixed = all(functor.on_morphism(f) == f for (f,) in endos)
     codiag_fixed = functor.on_morphism(system.codiagonal) == system.codiagonal
     regime2, rows = _morphism_sweep(
-        R, [(1, n)], budget, seed, samples, tag=f"reduction-rows-{n}")
-    rows_fixed = all(functor.on_morphism(f) == f for f in rows)
+        R, [((1, n),)], budget, seed, samples, tag=f"reduction-rows-{n}")
+    rows_fixed = all(functor.on_morphism(f) == f for (f,) in rows)
     report = ReductionReport(
         rank=n,
         monoid_fixed=monoid_fixed,

@@ -62,9 +62,6 @@ class CoefficientRing:
     def neg(self, a):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def eq(self, a, b):
         return a == b
 

@@ -11,6 +11,7 @@ Conventions used throughout the library:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -106,10 +107,6 @@ class Morphism:
         return Morphism(
             self.semiring, self.dom, self.cod,
             tuple(tuple(fn(e) for e in row) for row in self.entries))
-
-    def row(self, i):
-        """The i-th row slice as a morphism F1 -> cod."""
-        return Morphism(self.semiring, FreeObject(1), self.cod, (self.entries[i],))
 
     def act(self, vector):
         """Row-vector action: a |-> a @ A."""
@@ -221,23 +218,32 @@ class BiproductSystem:
             Morphism(R, fn, f1, tuple((one,) if j == i else (zero,) for j in range(rank)))
             for i in range(rank))
         self.codiagonal = Morphism(R, fn, f1, tuple((one,) for _ in range(rank)))
-        self._verify()
+        for i, mu in enumerate(self.injections):
+            defect = biproduct_defect(self.injections, self.projections, i)
+            if defect or not mu.then(self.codiagonal).is_identity():
+                raise DimensionMismatch(defect or "codiagonal pairing broken")
 
-    def _verify(self):
-        R = self.semiring
-        n = self.rank
-        total = zero_morphism(R, n, n)
-        for i in range(n):
-            total = total + self.projections[i].then(self.injections[i])
-            if not self.injections[i].then(self.projections[i]).is_identity():
-                raise DimensionMismatch("injection/projection pairing broken")
-            if not self.injections[i].then(self.codiagonal).is_identity():
-                raise DimensionMismatch("codiagonal pairing broken")
-            for j in range(n):
-                if i != j and self.injections[i].then(self.projections[j]) != zero_morphism(R, 1, 1):
-                    raise DimensionMismatch("cross injection/projection not zero")
-        if not total.is_identity():
-            raise DimensionMismatch("sum of projection;injection is not the identity")
+
+def biproduct_defect(mu, pi, i):
+    """Why row i of the biproduct relations fails for mu and pi, or None.
+
+    ``mu`` and ``pi`` are the n injections A -> B and projections B -> A of a
+    would-be biproduct B of n copies of A.  Row i holds when mu_i;pi_i = id
+    and mu_i;pi_j = 0 for j != i; the last row also needs the sum of the
+    pi_j;mu_j to be the identity.  The witness names the rank n.
+    """
+    n = len(mu)
+    R = mu[i].semiring
+    k = mu[i].dom.rank
+    if not mu[i].then(pi[i]).is_identity():
+        return f"image injection/projection pairing broken at rank {n}"
+    nought = ((R.zero,) * k,) * k
+    if any(mu[i].then(pi[j]).entries != nought for j in range(n) if j != i):
+        return f"image cross pairing not zero at rank {n}"
+    if i == n - 1 and not functools.reduce(
+            Morphism.__add__, (p.then(m) for p, m in zip(pi, mu))).is_identity():
+        return f"image biproduct sum is not the identity at rank {n}"
+    return None
 
 
 def biproduct_system(semiring, rank):

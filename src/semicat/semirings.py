@@ -22,7 +22,10 @@ from .errors import (
     UnsupportedCarrier,
 )
 
-DEFAULT_AUT_STEP_CAP = 400_000
+# Each complete closure costs about 2 x size^2 table lookups, so the largest
+# carriers the constructors build need more than a million steps (gf:256 with
+# 8 automorphisms takes 1,111,844, about 0.35 s); the cap leaves room for them.
+DEFAULT_AUT_STEP_CAP = 2_000_000
 # Largest carrier whose dense tables the built-in constructors build: the
 # tables are quadratic in the size and axiom validation is cubic.
 MAX_TABLE_SIZE = 256
@@ -458,7 +461,8 @@ def read_semiring_file(path):
     """The (add, mul, zero, one, name) of a semiring JSON file.
 
     The tables are shape-checked but not axiom-checked; a file that cannot be
-    read as such raises ParseError.
+    read as such raises ParseError, and one of more than MAX_TABLE_SIZE
+    elements raises SizeLimitExceeded, as the built-in constructors do.
     """
     try:
         with open(path) as fh:
@@ -471,6 +475,10 @@ def read_semiring_file(path):
         if field_name not in data:
             raise ParseError(f"semiring file missing field {field_name!r}")
     tables = (data["add"], data["mul"], data["zero"], data["one"])
+    if isinstance(data["add"], list) and len(data["add"]) > MAX_TABLE_SIZE:
+        raise SizeLimitExceeded(
+            f"a semiring file of {len(data['add'])} elements exceeds the table "
+            f"size limit {MAX_TABLE_SIZE}")
     try:
         check_table_shapes(*tables)
     except (IndexOutOfRange, TypeError) as exc:

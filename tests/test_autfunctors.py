@@ -232,6 +232,106 @@ def test_verify_functor_rejects_rank_change():
         cap=2, name="rank-shift")
     report = A.verify_functor(shifted)
     assert report.record("object-ranks").status == "fail"
+    assert _record_values(report) == [
+        ("object-ranks", "exhaustive", "fail", "rank 0 sent to rank 1", 1, 0),
+        ("identity-preservation", "exhaustive", "fail",
+         "identity at rank 0 moved: F1->F1[[0]]", 1, 0),
+        ("zero-preservation", "exhaustive", "pass", None, 9, 0),
+        ("addition-preservation", "exhaustive", "pass", None, 66064, 0),
+        ("composition-preservation", "exhaustive", "pass", None, 74979, 0),
+        ("biproduct-images", "exhaustive", "fail",
+         "image injection/projection pairing broken at rank 1", 1, 0)]
+
+
+def _record_values(report):
+    return [(r.name, r.regime, r.status, r.witness, r.checked, r.seed)
+            for r in report.records]
+
+
+def test_failing_records_keep_their_witnesses_and_counts():
+    # ``checked`` counts the cases up to and including the failing one; a
+    # functor that raises gives an "error:" record with no count (the
+    # rank-shift functor is pinned in test_verify_functor_rejects_rank_change)
+    one = M.identity(F4, 1)
+    one_to_zero = M.BlackBoxFunctor(
+        F4, lambda f: M.zero_morphism(F4, 1, 1) if f == one else f,
+        cap=2, name="one-to-zero")
+
+    def raising(f):
+        if f.dom.rank == 2 and f.cod.rank == 2:
+            raise SearchCapExceeded("no 2x2 images")
+        return f
+
+    poison = M.from_entries(F4, [[2, 0], [0, 1]])
+
+    def corrupt(f):
+        if f == poison:
+            return M.zero_morphism(F4, f.dom, f.cod)
+        return f.map_entries(FROB.apply)
+
+    corrupted = M.BlackBoxFunctor(F4, corrupt, cap=2, name="corrupt")
+    passes = [("object-ranks", "exhaustive", "pass", None, 3),
+              ("identity-preservation", "exhaustive", "pass", None, 3),
+              ("zero-preservation", "exhaustive", "pass", None, 9)]
+    expected = {
+        one_to_zero: [
+            ("object-ranks", "exhaustive", "pass", None, 3, 0),
+            ("identity-preservation", "exhaustive", "fail",
+             "identity at rank 1 moved: F1->F1[[0]]", 2, 0),
+            ("zero-preservation", "exhaustive", "pass", None, 9, 0),
+            ("addition-preservation", "exhaustive", "fail",
+             "addition broken at F1->F1[[1]] + F1->F1[[2]]", 7, 0),
+            ("composition-preservation", "exhaustive", "fail",
+             "composition broken at F1->F1[[1]] ; F1->F1[[2]]", 311, 0),
+            ("biproduct-images", "exhaustive", "fail",
+             "image injection/projection pairing broken at rank 1", 1, 0)],
+        M.BlackBoxFunctor(F4, raising, cap=2, name="raising"): [
+            ("object-ranks", "exhaustive", "pass", None, 3, 0),
+            *[(name, "exhaustive", "fail", "error: no 2x2 images", 0, 0)
+              for name in ("identity-preservation", "zero-preservation",
+                           "addition-preservation", "composition-preservation")],
+            ("biproduct-images", "exhaustive", "pass", None, 3, 0)],
+        corrupted: [
+            *[(*p, 0) for p in passes],
+            ("addition-preservation", "exhaustive", "fail",
+             "addition broken at F2->F2[[0, 0], [0, 1]] + F2->F2[[2, 0], [0, 0]]", 913, 0),
+            ("composition-preservation", "exhaustive", "fail",
+             "composition broken at F1->F2[[0, 1]] ; F2->F2[[2, 0], [0, 1]]", 1042, 0),
+            ("biproduct-images", "exhaustive", "pass", None, 3, 0)],
+    }
+    for functor, records in expected.items():
+        assert _record_values(A.verify_functor(functor)) == records, functor.name
+    assert _record_values(A.verify_functor(corrupted, budget=300, seed=5)) == [
+        *[(*p, 5) for p in passes],
+        ("addition-preservation", "sampled", "fail",
+         "addition broken at F2->F2[[2, 0], [0, 1]] + F2->F2[[2, 0], [3, 3]]", 193, 5),
+        ("composition-preservation", "sampled", "fail",
+         "composition broken at F1->F2[[3, 0]] ; F2->F2[[2, 0], [0, 1]]", 120, 5),
+        ("biproduct-images", "exhaustive", "pass", None, 3, 5)]
+
+
+def test_morphism_sweep_regime_rule():
+    # exhaustive iff the sum over shapes of the product of the factor counts
+    # fits the budget; else max(1, samples // len(shapes)) draws per shape
+    one = ((1, 1),)
+    pair = ((1, 1), (1, 2))
+    regime, cases = A._morphism_sweep(B, [one, pair], budget=10, seed=0)
+    cases = list(cases)
+    assert regime == "exhaustive"
+    assert [len(c) for c in cases] == [1] * 2 + [2] * 8
+    assert cases[2:4] == [(M.from_entries(B, [[0]]), M.from_entries(B, [[0, 0]])),
+                          (M.from_entries(B, [[0]]), M.from_entries(B, [[0, 1]]))]
+    regime, cases = A._morphism_sweep(B, [one, pair], budget=9, seed=0, samples=7)
+    assert regime == "sampled"
+    assert [len(c) for c in cases] == [1] * 3 + [2] * 3
+    first = list(A._morphism_sweep(B, [pair], budget=0, seed=4, tag="t")[1])
+    again = list(A._morphism_sweep(B, [pair], budget=0, seed=4, tag="t")[1])
+    rng = random.Random("4:t")
+    drawn = []
+    for _ in range(len(first)):
+        drawn.append((M.random_morphism(B, 1, 1, rng), M.random_morphism(B, 1, 2, rng)))
+    assert first == again == drawn
+    assert A._morphism_sweep(S.TropicalSemiring(), [one], budget=10**9, seed=0)[0] == "sampled"
 
 
 def test_extract_sigma_round_trips():

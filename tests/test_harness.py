@@ -199,7 +199,12 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["lie", "validate", "--file"]):
         assert cli.main(argv + [str(not_an_object)]) == 2
         capsys.readouterr()
-    for spec in ("zmod:100000", "gf:65536"):
+    too_big = tmp_path / "zmod257.json"
+    too_big.write_text(json.dumps({
+        "size": 257, "zero": 0, "one": 1,
+        "add": [[(a + b) % 257 for b in range(257)] for a in range(257)],
+        "mul": [[a * b % 257 for b in range(257)] for a in range(257)]}))
+    for spec in ("zmod:100000", "gf:65536", str(too_big)):
         start = time.perf_counter()
         assert cli.main(["semiring", "validate", "--semiring", spec]) == 2
         assert time.perf_counter() - start < 1.0
@@ -289,6 +294,12 @@ def test_cli_autgroups_past_the_factorial(capsys):
         report = json.loads(capsys.readouterr().out)
         orders = json.loads(report["records"][0]["witness"])
         assert orders == {"aut": order, "inn": 1, "out": order}
+    # the largest field the constructors build: its search takes 1,111,844
+    # steps (about 0.3 s), but building it first validates the axioms over
+    # 256^3 triples, which takes several seconds, so no time bound here
+    assert cli.main(["semiring", "autgroups", "--semiring", "gf:256"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert json.loads(report["records"][0]["witness"]) == {"aut": 8, "inn": 1, "out": 8}
 
 
 def test_aut_groups_steps_stay_out_of_the_json():

@@ -102,6 +102,23 @@ def test_biproduct_systems():
         M.biproduct_system(B, 3).codiagonal).is_identity()
 
 
+def test_biproduct_defect_names_the_first_broken_relation():
+    system = M.biproduct_system(B, 2)
+    mu, pi = list(system.injections), list(system.projections)
+    assert [M.biproduct_defect(mu, pi, i) for i in range(2)] == [None, None]
+    assert M.biproduct_defect(mu, pi[::-1], 0) == (
+        "image injection/projection pairing broken at rank 2")
+    ones = M.from_entries(B, [[1], [1]])
+    assert M.biproduct_defect(mu, [pi[0], ones], 0) == (
+        "image cross pairing not zero at rank 2")
+    # mu_i;pi_j = delta_ij holds into F3, but the sum misses the third coordinate
+    wide = [M.from_entries(B, [[1, 0, 0]]), M.from_entries(B, [[0, 1, 0]])]
+    narrow = [M.from_entries(B, [[1], [0], [0]]), M.from_entries(B, [[0], [1], [0]])]
+    assert M.biproduct_defect(wide, narrow, 0) is None
+    assert M.biproduct_defect(wide, narrow, 1) == (
+        "image biproduct sum is not the identity at rank 2")
+
+
 def test_row_slice_reconstruction_exhaustive_boolean():
     for n in (1, 2):
         system = M.biproduct_system(B, n)
