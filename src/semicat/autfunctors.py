@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 from .errors import (
     CapMismatch,
     Check,
-    DimensionMismatch,
     EquivalenceViolation,
     InjectionsNotFixed,
-    NonInvertibleFamily,
     NonInvertibleStack,
     NotAnAutomorphism,
     SearchCapExceeded,
@@ -29,6 +27,7 @@ from .errors import (
 )
 from .matcat import (
     BlackBoxFunctor,
+    IsoFamily,
     Morphism,
     biproduct_defect,
     biproduct_system,
@@ -94,25 +93,11 @@ def compose_automorphisms(first, second):
 
 def semi_inner_functor(data):
     """Materialize the functor of a SemiInnerData; every T_n must invert."""
-    R = data.semiring
-    comps = {}
-    inverses = {}
-    for n in range(0, data.cap + 1):
-        t = data.component(n)
-        ti = invert(t)
-        if ti is None:
-            raise NonInvertibleFamily(f"T_{n} has no two-sided inverse: {t!r}")
-        comps[n] = t
-        inverses[n] = ti
+    family = IsoFamily({n: data.component(n) for n in range(data.cap + 1)})
     sigma = data.sigma
-
-    def action(f):
-        n, m = f.dom.rank, f.cod.rank
-        if n > data.cap or m > data.cap:
-            raise DimensionMismatch(f"rank beyond the functor cap {data.cap}")
-        return inverses[n].then(f.map_entries(sigma.apply)).then(comps[m])
-
-    return BlackBoxFunctor(R, action, cap=data.cap, name=f"semi-inner({sigma!r})")
+    return BlackBoxFunctor(
+        data.semiring, lambda f: family.conjugate(f.map_entries(sigma.apply)),
+        cap=data.cap, name=f"semi-inner({sigma!r})")
 
 
 def random_semi_inner_data(semiring, cap, rng, groups=None):
@@ -416,36 +401,6 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
     return sigma
 
 
-class NaturalIsoWitness:
-    """Family of invertible morphisms t_n certifying F(f) = t_n^-1 ; base(f) ; t_m."""
-
-    def __init__(self, components, inverses):
-        self.components = dict(components)
-        self.inverses = dict(inverses)
-
-    def component(self, n):
-        return self.components[n]
-
-    def inverse(self, n):
-        return self.inverses[n]
-
-    def conjugate(self, base_image):
-        n, m = base_image.dom.rank, base_image.cod.rank
-        return self.inverse(n).then(base_image).then(self.component(m))
-
-    def square_commutes(self, base_image, target_image):
-        """base(f) ; t_m == t_n ; target(f) for f: n -> m."""
-        n, m = base_image.dom.rank, base_image.cod.rank
-        return base_image.then(self.component(m)) == self.component(n).then(target_image)
-
-    def verify(self, target, morphisms):
-        """Check target(f) == t^-1 ; f ; t over the given morphisms."""
-        for f in morphisms:
-            if target.on_morphism(f) != self.conjugate(f):
-                return False, f
-        return True, None
-
-
 def normalize_injections(functor):
     """Conjugate a functor into one fixing all canonical injections.
 
@@ -456,8 +411,8 @@ def normalize_injections(functor):
     that F(f) = U_n^-1 ; F0(f) ; U_m).
     """
     R = functor.semiring
-    comps = {0: identity(R, 0)}
-    invs = {0: identity(R, 0)}
+    stacks = {0: identity(R, 0)}
+    inverses = {0: identity(R, 0)}
     for n in range(1, functor.cap + 1):
         rows = [
             functor.on_morphism(mu).entries[0]
@@ -469,23 +424,17 @@ def normalize_injections(functor):
             raise NonInvertibleStack(
                 f"stacked injection images at rank {n} are not invertible "
                 f"(the functor does not preserve biproducts)")
-        comps[n] = stack
-        invs[n] = inv
-
-    def action(f):
-        n, m = f.dom.rank, f.cod.rank
-        if n > functor.cap or m > functor.cap:
-            raise DimensionMismatch(f"rank beyond the functor cap {functor.cap}")
-        return comps[n].then(functor.on_morphism(f)).then(invs[m])
-
+        stacks[n] = stack
+        inverses[n] = inv
+    witness = IsoFamily(stacks, inverses)
     normalized = BlackBoxFunctor(
-        R, action, cap=functor.cap, name=f"{functor.name}^normalized")
+        R, lambda f: witness.unconjugate(functor.on_morphism(f), f.dom, f.cod),
+        cap=functor.cap, name=f"{functor.name}^normalized")
     for n in range(1, functor.cap + 1):
         for mu in biproduct_system(R, n).injections:
             if normalized.on_morphism(mu) != mu:
                 raise NonInvertibleStack(
                     f"normalization failed to fix {mu!r}; the input is not additive")
-    witness = NaturalIsoWitness(comps, invs)
     return normalized, witness
 
 
@@ -497,19 +446,12 @@ def decompose_stable_inner(functor, isos):
     is conjugation by the family itself.  Applying the stable part and then
     the inner part reproduces the input pointwise.
     """
-
-    def stable_action(f):
-        image = functor.on_morphism(f)
-        return isos.iso(f.dom).then(image).then(isos.inv(f.cod))
-
-    def inner_action(f):
-        return isos.inv(f.dom).then(f).then(isos.iso(f.cod))
-
     stable = BlackBoxFunctor(
-        functor.semiring, stable_action, cap=functor.cap,
-        name=f"{functor.name}^stable")
+        functor.semiring,
+        lambda f: isos.unconjugate(functor.on_morphism(f), f.dom, f.cod),
+        cap=functor.cap, name=f"{functor.name}^stable")
     inner = BlackBoxFunctor(
-        functor.semiring, inner_action, object_action=functor.on_object,
+        functor.semiring, isos.conjugate, object_action=functor.on_object,
         cap=functor.cap, name=f"{functor.name}^inner")
     return stable, inner
 
@@ -571,7 +513,7 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
     else:
         return None
 
-    witness = NaturalIsoWitness(
+    witness = IsoFamily(
         {n: stacks.component(n).map_entries(lambda x: R.mul(u, x))
          for n in range(cap + 1)},
         {n: stacks.inverse(n).map_entries(lambda x: R.mul(x, v))

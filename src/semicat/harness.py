@@ -44,6 +44,7 @@ from .lie import (
     sl2,
     verify_restricted,
 )
+from .matcat import random_invertible
 from .semirings import (
     AXIOM_ORDER,
     automorphism_groups,
@@ -379,23 +380,16 @@ def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
 
     semiring = load_semiring(config.semiring)
     groups = automorphism_groups(semiring)
-    if sigma_index >= len(groups.aut):
+    if not 0 <= sigma_index < len(groups.aut):
         raise ConfigError(
             f"semiring has {len(groups.aut)} automorphisms; index {sigma_index} is out of range")
     sigma = groups.aut[sigma_index]
     rec = _Recorder(config.seed)
+    data = skew_inner_functor(sigma, config.cap)
     if random_family:
         rng = random.Random(f"{config.seed}:family")
-        from .matcat import random_invertible
-
-        family = {
-            n: random_invertible(semiring, n, rng)[0]
-            for n in range(1, config.cap + 1)
-        }
-    else:
-        family = {}
-    data = skew_inner_functor(sigma, config.cap)
-    data.family = family
+        data.family = {n: random_invertible(semiring, n, rng)[0]
+                       for n in range(1, config.cap + 1)}
     functor = semi_inner_functor(data)
     if action == "extract":
         def body():

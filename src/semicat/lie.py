@@ -445,8 +445,10 @@ def validate_lie(ring, dim, brackets, labels=None):
     ``brackets`` maps (i, j) pairs to coefficient vectors; redundant (j, i)
     entries are accepted when consistent with antisymmetry.  The Jacobi
     identity is checked on every basis triple, of which there may be at most
-    ``JACOBI_TRIPLE_CAP``.
+    ``JACOBI_TRIPLE_CAP``.  Sampling draws basis indices, so dim must be >= 1.
     """
+    if dim < 1:
+        raise ParseError(f"a Lie algebra needs dimension at least 1, not {dim}")
     if math.comb(dim, 3) > JACOBI_TRIPLE_CAP:
         raise SizeLimitExceeded(
             f"dim {dim} has {math.comb(dim, 3)} basis triples to check for Jacobi; "
@@ -516,8 +518,8 @@ def lie_from_dict(data):
         raise ParseError(f"lie file ring must be a string, not {data['ring']!r}")
     ring = coefficient_ring(data["ring"])
     dim = data["dim"]
-    if not _is_index(dim) or dim < 0:
-        raise ParseError(f"lie file dim must be a non-negative integer, not {dim!r}")
+    if not _is_index(dim):
+        raise ParseError(f"lie file dim must be an integer, not {dim!r}")
     labels = data.get("labels")
     if labels is not None and (
             not isinstance(labels, (list, tuple)) or len(labels) != dim

@@ -387,44 +387,83 @@ def random_invertible(semiring, n, rng, cap=DEFAULT_INVERT_CAP):
 
 
 class IsoFamily:
-    """Assignment of a verified invertible morphism to each covered object."""
+    """Invertible morphisms t_A: A -> A', one per covered object, with inverses.
 
-    def __init__(self, assignments, require_canonical_identity=False):
-        self._iso = {}
-        self._inv = {}
-        for obj, morphism in assignments.items():
-            obj = _as_object(obj)
+    The family acts by conjugation: ``conjugate(f)`` is t_A^-1 ; f ; t_B for
+    f: A -> B, and ``unconjugate(g, A, B)`` is t_A ; g ; t_B^-1, its inverse.
+    Both are keyed by the endpoints A and B of the original morphism.  A
+    rank-0 object the family does not cover conjugates through the unique
+    empty morphism to F0.  ``inverses``, keyed like ``assignments``, are
+    taken as given; without them each inverse is found with ``invert``.
+    """
+
+    def __init__(self, assignments, inverses=None, require_canonical_identity=False):
+        self._pairs = {}  # keyed by (rank, label): tuples hash and compare in C
+        for key, morphism in assignments.items():
+            obj = _as_object(key)
             if morphism.dom != obj:
                 raise MissingIso(f"iso for {obj} does not start at it")
-            inv = invert(morphism)
+            inv = invert(morphism) if inverses is None else inverses[key]
             if inv is None:
                 raise NonInvertibleFamily(f"iso for {obj} has no two-sided inverse")
             if require_canonical_identity and obj.is_canonical and not morphism.is_identity():
                 raise MissingIso(f"canonical object {obj} must carry the identity")
-            self._iso[obj] = morphism
-            self._inv[obj] = inv
+            self._pairs[obj.rank, obj.label] = (morphism, inv)
 
     @classmethod
     def identities(cls, semiring, objects):
-        return cls({obj: identity(semiring, obj) for obj in objects})
+        isos = {obj: identity(semiring, obj) for obj in objects}
+        return cls(isos, isos)
 
-    def covers(self, obj):
-        return _as_object(obj) in self._iso
+    @property
+    def components(self):
+        """The ranks of the covered objects, in assignment order."""
+        return [rank for rank, _ in self._pairs]
 
     def objects(self):
-        return list(self._iso)
+        return [FreeObject(rank, label) for rank, label in self._pairs]
 
-    def iso(self, obj):
-        obj = _as_object(obj)
-        if obj not in self._iso:
-            raise MissingIso(f"no isomorphism assigned to {obj}")
-        return self._iso[obj]
+    def component(self, obj):
+        return self._pair(_as_object(obj))[0]
 
-    def inv(self, obj):
-        obj = _as_object(obj)
-        if obj not in self._inv:
-            raise MissingIso(f"no isomorphism assigned to {obj}")
-        return self._inv[obj]
+    def inverse(self, obj):
+        return self._pair(_as_object(obj))[1]
+
+    def _pair(self, obj, semiring=None):
+        """(t_A, t_A^-1); given a semiring, an uncovered rank-0 object gets
+        the empty morphisms to and from F0."""
+        got = self._pairs.get((obj.rank, obj.label))
+        if got is not None:
+            return got
+        if obj.rank == 0 and semiring is not None:
+            return (Morphism(semiring, obj, canonical(0), ()),
+                    Morphism(semiring, canonical(0), obj, ()))
+        raise MissingIso(f"no isomorphism assigned to {obj}")
+
+    def conjugate(self, f):
+        """t_A^-1 ; f ; t_B for f: A -> B."""
+        _, dom_inv = self._pair(f.dom, f.semiring)
+        cod_iso, _ = self._pair(f.cod, f.semiring)
+        return dom_inv.then(f).then(cod_iso)
+
+    def unconjugate(self, g, dom, cod):
+        """t_A ; g ; t_B^-1 for the endpoints A = dom, B = cod of the original
+        morphism, so that ``unconjugate(conjugate(f), f.dom, f.cod) == f``."""
+        dom_iso, _ = self._pair(dom, g.semiring)
+        _, cod_inv = self._pair(cod, g.semiring)
+        return dom_iso.then(g).then(cod_inv)
+
+    def square_commutes(self, base_image, target_image):
+        """base(f) ; t_B == t_A ; target(f) for f: A -> B."""
+        return (base_image.then(self.component(base_image.cod))
+                == self.component(base_image.dom).then(target_image))
+
+    def verify(self, target, morphisms):
+        """Check target(f) == t_A^-1 ; f ; t_B over the given morphisms."""
+        for f in morphisms:
+            if target.on_morphism(f) != self.conjugate(f):
+                return False, f
+        return True, None
 
 
 class BlackBoxFunctor:
@@ -474,22 +513,9 @@ def skeleton_transport(phi_bar, isos):
     phi_bar exactly.  Rank-0 objects need no assignment: their isomorphism to
     the skeleton is the unique empty morphism.
     """
-    R = phi_bar.semiring
-
-    def iso_pair(obj):
-        if isos.covers(obj):
-            return isos.iso(obj), isos.inv(obj)
-        if obj.rank == 0:
-            return (Morphism(R, obj, canonical(0), ()),
-                    Morphism(R, canonical(0), obj, ()))
-        raise MissingIso(f"iso family does not cover {obj}")
 
     def action(f):
-        dom_iso, dom_inv = iso_pair(f.dom)
-        cod_iso, cod_inv = iso_pair(f.cod)
-        inner = dom_inv.then(f).then(cod_iso)
-        image = phi_bar.on_morphism(inner)
-        return dom_iso.then(image).then(cod_inv)
+        return isos.unconjugate(phi_bar.on_morphism(isos.conjugate(f)), f.dom, f.cod)
 
     return BlackBoxFunctor(
         phi_bar.semiring, action, cap=phi_bar.cap,

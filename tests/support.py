@@ -237,7 +237,6 @@ def brute_force_inner_witness(functor):
     each rank that commute with the functor on every endomorphism of that
     rank, then test every combination of survivors on the morphisms between
     different ranks."""
-    from semicat import autfunctors as A
     from semicat import matcat as M
 
     R = functor.semiring
@@ -261,7 +260,7 @@ def brute_force_inner_witness(functor):
         for n, (t, ti) in enumerate(combo, start=1):
             comps[n], invs[n] = t, ti
         if all(image == invs[n].then(f).then(comps[m]) for n, m, f, image in cross):
-            return A.NaturalIsoWitness(comps, invs)
+            return M.IsoFamily(comps, invs)
     return None
 
 

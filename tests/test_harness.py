@@ -213,10 +213,17 @@ def test_cli_exit_codes(tmp_path, capsys):
                        ("terms-not-list.json",
                         {"ring": "Q", "dim": 2, "brackets": [[0, 1, 5]]}),
                        ("divide-by-zero.json",
-                        {"ring": "Q", "dim": 2, "brackets": [[0, 1, [[0, "1/0"]]]]})):
+                        {"ring": "Q", "dim": 2, "brackets": [[0, 1, [[0, "1/0"]]]]}),
+                       ("dim-0.json",
+                        {"ring": "zmod:5", "dim": 0, "brackets": [], "pmap": []})):
         path = tmp_path / name
         path.write_text(json.dumps(data))
         assert cli.main(["lie", "validate", "--file", str(path)]) == 2
+        capsys.readouterr()
+    for argv in (["lie", "suite", "--file", "abelian0:Q"],
+                 ["lie", "units", "--file", "abelian0:zmod:5"],
+                 ["autmorph", "extract", "--semiring", "gf:4", "--sigma", "-1"]):
+        assert cli.main(argv) == 2
         capsys.readouterr()
     huge = tmp_path / "dim-3000.json"
     huge.write_text(json.dumps({"ring": "Q", "dim": 3000, "brackets": []}))
@@ -295,9 +302,10 @@ def test_cli_autgroups_past_the_factorial(capsys):
         orders = json.loads(report["records"][0]["witness"])
         assert orders == {"aut": order, "inn": 1, "out": order}
     # the largest field the constructors build: its search takes 1,111,844
-    # steps (about 0.3 s), but building it first validates the axioms over
-    # 256^3 triples, which takes several seconds, so no time bound here
+    # steps, and the built-in tables are not re-validated
+    start = time.perf_counter()
     assert cli.main(["semiring", "autgroups", "--semiring", "gf:256"]) == 0
+    assert time.perf_counter() - start < 5.0
     report = json.loads(capsys.readouterr().out)
     assert json.loads(report["records"][0]["witness"]) == {"aut": 8, "inn": 1, "out": 8}
 

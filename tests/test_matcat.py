@@ -14,6 +14,7 @@ from semicat.errors import (
     ZeroRank,
 )
 from support import (
+    all_shape_morphisms,
     brute_force_inverse,
     catalog_all,
     catalog_finite,
@@ -212,6 +213,26 @@ def test_morphism_json_round_trip():
     assert M.morphism_from_json(B, M.morphism_to_json(b)) == b
 
 
+def test_iso_family_conjugation_round_trips():
+    rng = random.Random(12)
+    for semiring in catalog_finite():
+        family = M.IsoFamily({
+            n: M.random_invertible(semiring, n, rng)[0] for n in range(3)})
+        # no rank-0 entry: conjugation goes through the empty morphism to F0
+        ones = M.IsoFamily.identities(semiring, [M.canonical(1), M.canonical(2)])
+        for f in all_shape_morphisms(semiring, 2, include_zero_rank=True):
+            g = family.conjugate(f)
+            assert g == family.inverse(f.dom).then(f).then(family.component(f.cod))
+            assert family.unconjugate(g, f.dom, f.cod) == f
+            assert family.conjugate(family.unconjugate(f, f.dom, f.cod)) == f
+            assert ones.conjugate(f) == f == ones.unconjugate(f, f.dom, f.cod)
+        with pytest.raises(MissingIso):
+            ones.conjugate(M.identity(semiring, 3))
+        with pytest.raises(MissingIso):
+            M.IsoFamily({1: M.identity(semiring, 1)}).unconjugate(
+                M.identity(semiring, 2), M.canonical(2), M.canonical(2))
+
+
 def _labeled_setup(semiring, rng):
     objects = [
         M.FreeObject(1, "A1"), M.FreeObject(2, "A2"),
@@ -266,7 +287,7 @@ def test_skeleton_transport_naturality_square():
         assert ext.on_morphism(f) == full.on_morphism(f)
     # naturality components: through the skeleton and back through the image
     eta = {
-        obj: isos.iso(obj).then(full.on_morphism(isos.inv(obj)))
+        obj: isos.component(obj).then(full.on_morphism(isos.inverse(obj)))
         for obj in objects
     }
     rng2 = random.Random(10)

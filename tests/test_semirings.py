@@ -222,6 +222,28 @@ def test_size_limit_on_enumeration():
             build()
 
 
+def test_built_in_tables_satisfy_every_axiom():
+    # the built-in constructors skip validate_semiring, so check their tables
+    # against the exhaustive axiom oracle
+    fields = [q for q in range(2, 65) if _is_prime_power(q)]
+    carriers = ([S.zmod_semiring(n) for n in range(1, 41)]
+                + [S.galois_semiring(q) for q in fields]
+                + [S.boolean_semiring(), S.trivial_semiring()])
+    assert len(fields) == 27
+    for semiring in carriers:
+        for axiom in S.AXIOM_ORDER:
+            assert S.find_axiom_witness(
+                semiring.add_table, semiring.mul_table, semiring.zero,
+                semiring.one, axiom) is None, (semiring.name, axiom)
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def test_opposite_semiring():
     for semiring in catalog_finite():
         opp = S.opposite_semiring(semiring)
