@@ -80,17 +80,6 @@ def skew_inner_functor(sigma, cap):
     return SemiInnerData(semiring=sigma.semiring, sigma=sigma, family={}, cap=cap)
 
 
-def compose_automorphisms(first, second):
-    """Carrier automorphism 'apply first, then second'."""
-    if isinstance(first, PermutationAutomorphism) and isinstance(
-            second, PermutationAutomorphism):
-        return first.then(second)
-    return MapAutomorphism(
-        first.semiring,
-        lambda x: second.apply(first.apply(x)),
-        name="composite")
-
-
 def semi_inner_functor(data):
     """Materialize the functor of a SemiInnerData; every T_n must invert."""
     family = IsoFamily({n: data.component(n) for n in range(data.cap + 1)})
@@ -121,7 +110,7 @@ def compose_semi_inner(a, b):
         raise SemiringMismatch("semi-inner data over different semirings")
     if a.cap != b.cap:
         raise CapMismatch(f"caps differ: {a.cap} vs {b.cap}")
-    sigma = compose_automorphisms(a.sigma, b.sigma)
+    sigma = a.sigma.then(b.sigma)
     family = {}
     for n in range(1, a.cap + 1):
         t = a.component(n).map_entries(b.sigma.apply).then(b.component(n))

@@ -87,7 +87,7 @@ def _config(args, kind):
     return ExperimentConfig(
         kind=kind, semiring=getattr(args, "semiring", None),
         lie=getattr(args, "lie", None), cap=args.cap, degree_cap=args.degree_cap,
-        seed=args.seed, budget=args.budget, fmt=args.fmt, out=args.out)
+        seed=args.seed, budget=args.budget)
 
 
 def _dispatch(args):

@@ -10,6 +10,7 @@ are collected but kept out of the canonical serialization; pass
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import time
@@ -23,7 +24,7 @@ from .autfunctors import (
     skew_inner_functor,
     verify_functor,
 )
-from .errors import Check, ConfigError, ParseError, SemicatError
+from .errors import Check, ConfigError, ParseError, SearchCapExceeded, SemicatError
 from .ibn import classify_type, left_right_ibn_agree
 from .lie import (
     UniversalEnvelope,
@@ -69,21 +70,19 @@ class ExperimentConfig:
     degree_cap: int = 3
     seed: int = 0
     budget: int = 200_000
-    fmt: str = "json"
-    out: str = None
 
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.cap < 1 or self.degree_cap < 1:
             raise ConfigError("caps must be at least 1")
+        if self.budget < 0:
+            raise ConfigError(f"the budget must not be negative, not {self.budget}")
         if self.kind == "lie-suite":
             if not self.lie:
                 raise ConfigError("lie-suite needs a lie algebra file or name")
         elif not self.semiring:
             raise ConfigError(f"{self.kind} needs a semiring file or name")
-        if self.fmt not in ("json", "text"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
 
     def echo(self):
         return {
@@ -324,10 +323,21 @@ def load_lie(spec):
 
 def _run_lie_suite(config, rec):
     lie, restricted = load_lie(config.lie)
+    exponents = exponents_up_to(lie.dim, 2)
+    if len(exponents) ** 2 > config.budget:
+        raise SearchCapExceeded(
+            f"{len(exponents)}^2 pairs of degree-2 monomials exceed the budget "
+            f"{config.budget}")
+    if restricted is not None:
+        # the free monomials of degree <= dim*(p-1) the basis count enumerates
+        free = math.comb(lie.dim * restricted.p, lie.dim)
+        if free > config.budget:
+            raise SearchCapExceeded(
+                f"{free} free monomials to count exceed the budget {config.budget}")
     rec.add("validate", "exhaustive", True,
             witness=f"dim={lie.dim} ring={lie.ring.name}")
     envelope = UniversalEnvelope(lie)
-    monomials = [envelope.monomial(exp) for exp in exponents_up_to(lie.dim, 2)]
+    monomials = [envelope.monomial(exp) for exp in exponents]
 
     mismatch = next(((u, v) for u in monomials for v in monomials
                      if u * v != multiply_by_word_rewriting(u, v)), None)
@@ -378,6 +388,7 @@ def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
     """extract / normalize round-trip flows on constructed functors."""
     from .autfunctors import extract_sigma, normalize_injections
 
+    config.validate()
     semiring = load_semiring(config.semiring)
     groups = automorphism_groups(semiring)
     if not 0 <= sigma_index < len(groups.aut):
@@ -430,6 +441,7 @@ def _parse_word(lie, text):
 
 def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None):
     """The `lie` subcommand actions that are not the full suite."""
+    config.validate()
     lie, restricted = load_lie(config.lie)
     envelope = UniversalEnvelope(lie, restricted=restricted)
     rec = _Recorder(config.seed)
@@ -452,6 +464,8 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
                 witness=repr(product))
         extra["left"], extra["right"] = left, right
     elif action == "basis":
+        if gens < 1:
+            raise ConfigError(f"a free module needs at least 1 generator, not {gens}")
         cap = config.degree_cap
         generators = tuple(f"x{i+1}" for i in range(gens))
         if restricted is not None:

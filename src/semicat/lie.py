@@ -34,7 +34,7 @@ from .errors import (
     VerificationReport,
 )
 from .matcat import _mat_mul
-from .semirings import Semiring
+from .semirings import PermutationAutomorphism, Semiring, identity_automorphism
 
 # The Jacobi identity is checked on every basis triple; past this many
 # triples validate_lie refuses the algebra instead of sweeping.
@@ -44,26 +44,15 @@ JACOBI_TRIPLE_CAP = 200_000
 # exact coefficient rings
 
 
-class CoefficientRing:
-    """An exact integral domain: integers, rationals, or a finite field."""
+class CoefficientRing(Semiring):
+    """An exact integral domain (integers, rationals, or a finite field): a
+    commutative semiring with negation, integer images, powers and units."""
 
-    name = "?"
     characteristic = 0
-    is_finite = False
-    zero = None
-    one = None
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
+    is_commutative = True
 
     def neg(self, a):
         raise NotImplementedError
-
-    def eq(self, a, b):
-        return a == b
 
     def from_int(self, n):
         raise NotImplementedError
@@ -74,41 +63,13 @@ class CoefficientRing:
             out = self.mul(out, a)
         return out
 
-    def unit_inverse(self, a):
-        """Multiplicative inverse if a is a unit, else None."""
-        raise NotImplementedError
-
     def is_unit(self, a):
-        return self.unit_inverse(a) is not None
-
-    def sample(self, rng):
-        raise NotImplementedError
-
-    def elements(self):
-        raise UnsupportedCarrier(f"{self.name} is not finite")
-
-    def automorphisms(self):
-        return [ScalarAutomorphism.identity(self)]
-
-    def value_to_json(self, a):
-        return a
+        return self.try_unit_inverse(a) is not None
 
     def value_from_json(self, data):
         if not _is_index(data):
             raise ParseError(f"coefficient {data!r} is not an integer")
         return data
-
-    def key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, CoefficientRing) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return f"<ring {self.name}>"
 
 
 class IntegerRing(CoefficientRing):
@@ -128,10 +89,10 @@ class IntegerRing(CoefficientRing):
     def from_int(self, n):
         return n
 
-    def unit_inverse(self, a):
+    def try_unit_inverse(self, a):
         return a if a in (1, -1) else None
 
-    def sample(self, rng):
+    def sample_element(self, rng):
         return rng.randrange(-6, 7)
 
     def key(self):
@@ -155,10 +116,10 @@ class RationalField(CoefficientRing):
     def from_int(self, n):
         return Fraction(n)
 
-    def unit_inverse(self, a):
+    def try_unit_inverse(self, a):
         return None if a == 0 else 1 / Fraction(a)
 
-    def sample(self, rng):
+    def sample_element(self, rng):
         return Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3)))
 
     def value_to_json(self, a):
@@ -198,13 +159,13 @@ class PrimeField(CoefficientRing):
     def from_int(self, n):
         return n % self.p
 
-    def unit_inverse(self, a):
+    def try_unit_inverse(self, a):
         return None if a % self.p == 0 else pow(a, self.p - 2, self.p)
 
     def value_from_json(self, data):
         return super().value_from_json(data) % self.p
 
-    def sample(self, rng):
+    def sample_element(self, rng):
         return rng.randrange(self.p)
 
     def elements(self):
@@ -248,7 +209,7 @@ class GaloisFieldRing(CoefficientRing):
             out = self.add(out, step)
         return out
 
-    def unit_inverse(self, a):
+    def try_unit_inverse(self, a):
         if a == 0:
             return None
         for b in range(self.q):
@@ -256,7 +217,7 @@ class GaloisFieldRing(CoefficientRing):
                 return b
         return None
 
-    def sample(self, rng):
+    def sample_element(self, rng):
         return rng.randrange(self.q)
 
     def elements(self):
@@ -269,51 +230,14 @@ class GaloisFieldRing(CoefficientRing):
         return value
 
     def automorphisms(self):
-        out = []
-        for i in range(self.k):
-            power = self.p ** i
-            perm = tuple(self.power(a, power) for a in range(self.q))
-            inv = [0] * self.q
-            for a, v in enumerate(perm):
-                inv[v] = a
-            out.append(ScalarAutomorphism(
-                self, (lambda t: (lambda x: t[x]))(perm),
-                (lambda t: (lambda x: t[x]))(tuple(inv)),
-                name="id" if i == 0 else f"frobenius^{i}"))
-        return out
+        """The Frobenius powers x -> x^(p^i), i = 0..k-1."""
+        return [
+            PermutationAutomorphism(
+                self, [self.power(a, self.p ** i) for a in range(self.q)])
+            for i in range(self.k)]
 
     def key(self):
         return ("gf", self.q)
-
-
-class ScalarAutomorphism:
-    """Automorphism of a coefficient ring, with a stored inverse."""
-
-    def __init__(self, ring, func, inverse_func, name="map"):
-        self.ring = ring
-        self.func = func
-        self.inverse_func = inverse_func
-        self.name = name
-
-    @classmethod
-    def identity(cls, ring):
-        return cls(ring, lambda x: x, lambda x: x, name="id")
-
-    def apply(self, x):
-        return self.func(x)
-
-    def inverse_apply(self, x):
-        return self.inverse_func(x)
-
-    def then(self, other):
-        return ScalarAutomorphism(
-            self.ring,
-            lambda x: other.func(self.func(x)),
-            lambda x: self.inverse_func(other.inverse_func(x)),
-            name=f"{self.name};{other.name}")
-
-    def __repr__(self):
-        return f"scalar-aut<{self.name}>"
 
 
 def coefficient_ring(spec):
@@ -677,7 +601,8 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
 
     rng = random.Random(f"{seed}:restricted")
     for _ in range(samples):
-        g = {i: K.sample(rng) for i in rng.sample(range(lie.dim), k=min(2, lie.dim))}
+        g = {i: K.sample_element(rng)
+             for i in rng.sample(range(lie.dim), k=min(2, lie.dim))}
         g = clean_vector(K, g)
         lhs = lie.ad_matrix(p_power(lie, restricted, g))
         rhs = _mat_pow_k(K, lie.ad_matrix(g), p)
@@ -688,7 +613,7 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
         "bracket-power-combinations", "sampled", "pass", checked=samples, seed=seed))
 
     for _ in range(samples):
-        lam = K.sample(rng)
+        lam = K.sample_element(rng)
         i = rng.randrange(lie.dim)
         g = {i: K.one}
         lhs = p_power(lie, restricted, vec_scale(K, lam, g))
@@ -777,7 +702,7 @@ class UniversalEnvelope:
                     word.count(i) >= self.restricted.p for i in set(word)):
                 continue
             exp = _exponents(self.lie.dim, word)
-            c = K.sample(rng)
+            c = K.sample_element(rng)
             if not K.eq(c, K.zero):
                 out[exp] = K.add(out.get(exp, K.zero), c)
         return self.element(out)
@@ -1150,7 +1075,7 @@ def chevalley_involution(lie):
     if lie.dim != 3:
         raise UnsupportedCarrier("the involution needs a three-dimensional algebra")
     return LieSemiMorphism(
-        lie, ScalarAutomorphism.identity(K),
+        lie, identity_automorphism(K),
         images=({2: K.one}, {1: K.neg(K.one)}, {0: K.one}))
 
 
@@ -1263,9 +1188,6 @@ class UEnvelopeSemiring(Semiring):
     silently dropping terms.
     """
 
-    is_finite = False
-    is_commutative = False
-
     def __init__(self, envelope, degree_cap):
         self.envelope = envelope
         self.degree_cap = degree_cap
@@ -1291,7 +1213,7 @@ class UEnvelopeSemiring(Semiring):
     def try_unit_inverse(self, u):
         if not is_unit(u):
             return None
-        inv = self.envelope.ring.unit_inverse(u.constant_coefficient())
+        inv = self.envelope.ring.try_unit_inverse(u.constant_coefficient())
         return self.envelope.scalar(inv)
 
     def value_to_json(self, u):
@@ -1383,7 +1305,7 @@ def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
         units = []
         ok = all(
             is_unit(envelope.scalar(c)) == (not K.eq(c, K.zero))
-            for c in (K.sample(rng0) for _ in range(samples)))
+            for c in (K.sample_element(rng0) for _ in range(samples)))
         records.append(Check(
             "unit-scalars(K*)", "sampled", "pass" if ok else "fail", seed=seed))
 

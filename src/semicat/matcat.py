@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import operator
 
 from .errors import (
     DimensionMismatch,
@@ -27,18 +27,19 @@ from .errors import (
 DEFAULT_INVERT_CAP = 400_000
 
 
-@dataclass(frozen=True)
-class FreeObject:
-    """A free semimodule of finite rank; canonical skeleton objects are 'F<n>'."""
+class FreeObject(tuple):
+    """A free semimodule of finite rank as a (rank, label) tuple, so that it
+    compares and hashes in C; canonical skeleton objects are 'F<n>'."""
 
-    rank: int
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise DimensionMismatch(f"negative rank {self.rank}")
-        if not self.label:
-            object.__setattr__(self, "label", f"F{self.rank}")
+    def __new__(cls, rank, label=""):
+        if rank < 0:
+            raise DimensionMismatch(f"negative rank {rank}")
+        return tuple.__new__(cls, (rank, label or f"F{rank}"))
+
+    rank = property(operator.itemgetter(0))
+    label = property(operator.itemgetter(1))
 
     @property
     def is_canonical(self):
@@ -398,7 +399,7 @@ class IsoFamily:
     """
 
     def __init__(self, assignments, inverses=None, require_canonical_identity=False):
-        self._pairs = {}  # keyed by (rank, label): tuples hash and compare in C
+        self._pairs = {}
         for key, morphism in assignments.items():
             obj = _as_object(key)
             if morphism.dom != obj:
@@ -408,7 +409,7 @@ class IsoFamily:
                 raise NonInvertibleFamily(f"iso for {obj} has no two-sided inverse")
             if require_canonical_identity and obj.is_canonical and not morphism.is_identity():
                 raise MissingIso(f"canonical object {obj} must carry the identity")
-            self._pairs[obj.rank, obj.label] = (morphism, inv)
+            self._pairs[obj] = (morphism, inv)
 
     @classmethod
     def identities(cls, semiring, objects):
@@ -418,10 +419,10 @@ class IsoFamily:
     @property
     def components(self):
         """The ranks of the covered objects, in assignment order."""
-        return [rank for rank, _ in self._pairs]
+        return [obj.rank for obj in self._pairs]
 
     def objects(self):
-        return [FreeObject(rank, label) for rank, label in self._pairs]
+        return list(self._pairs)
 
     def component(self, obj):
         return self._pair(_as_object(obj))[0]
@@ -432,7 +433,7 @@ class IsoFamily:
     def _pair(self, obj, semiring=None):
         """(t_A, t_A^-1); given a semiring, an uncovered rank-0 object gets
         the empty morphisms to and from F0."""
-        got = self._pairs.get((obj.rank, obj.label))
+        got = self._pairs.get(obj)
         if got is not None:
             return got
         if obj.rank == 0 and semiring is not None:

@@ -579,12 +579,21 @@ class MapAutomorphism:
             raise UnsupportedCarrier(f"automorphism {self.name!r} has no stored inverse")
         return self.inverse_func(x)
 
+    def then(self, other):
+        """Automorphism 'apply self, then other'; its inverse undoes other first."""
+        return MapAutomorphism(
+            self.semiring,
+            lambda x: other.apply(self.apply(x)),
+            lambda x: self.inverse_apply(other.inverse_apply(x)),
+            name=f"{self.name};{other.name}")
+
     def __repr__(self):
         return f"aut<{self.name}>"
 
 
 def identity_automorphism(semiring):
-    if semiring.is_finite:
+    """A permutation on a Cayley-table carrier, the identity map otherwise."""
+    if isinstance(semiring, FiniteSemiring):
         return PermutationAutomorphism(semiring, range(semiring.size))
     return MapAutomorphism(semiring, lambda x: x, lambda x: x, name="id")
 

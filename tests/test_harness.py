@@ -35,6 +35,8 @@ def test_config_validation():
         config("lie-suite").validate()
     with pytest.raises(ConfigError):
         config("ibn", semiring="boolean", cap=0).validate()
+    with pytest.raises(ConfigError):
+        config("ibn", semiring="boolean", budget=-1).validate()
 
 
 def test_all_kinds_pass_on_good_inputs():
@@ -222,9 +224,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         capsys.readouterr()
     for argv in (["lie", "suite", "--file", "abelian0:Q"],
                  ["lie", "units", "--file", "abelian0:zmod:5"],
-                 ["autmorph", "extract", "--semiring", "gf:4", "--sigma", "-1"]):
+                 ["lie", "units", "--file", "sl2:Q", "--degree-cap", "-2"],
+                 ["lie", "basis", "--file", "sl2:Q", "--gens", "0"],
+                 ["autmorph", "extract", "--semiring", "gf:4", "--sigma", "-1"],
+                 ["autmorph", "extract", "--semiring", "gf:4", "--cap", "0"],
+                 ["autmorph", "normalize", "--semiring", "gf:4", "--cap", "-1"],
+                 ["autmorph", "verify", "--semiring", "gf:4", "--cap", "0"],
+                 ["autmorph", "verify", "--semiring", "gf:4", "--budget", "-5"]):
         assert cli.main(argv) == 2
         capsys.readouterr()
+    restricted8 = tmp_path / "abelian8-restricted.json"
+    restricted8.write_text(json.dumps(
+        {"ring": "zmod:5", "dim": 8, "brackets": [], "pmap": []}))
+    for spec in ("abelian40:Q", str(restricted8)):
+        start = time.perf_counter()
+        assert cli.main(["lie", "suite", "--file", spec]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "exceed the budget" in capsys.readouterr().err
     huge = tmp_path / "dim-3000.json"
     huge.write_text(json.dumps({"ring": "Q", "dim": 3000, "brackets": []}))
     for spec in (str(huge), "abelian3000:Q"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from semicat import lie as L
 from semicat import matcat as M
+from semicat import semirings as S
 from semicat.errors import (
     AntisymmetryViolation,
     AxiomViolation,
@@ -53,6 +54,21 @@ def test_galois_ring_frobenius():
     frob = autos[1]
     assert all(frob.apply(x) == g4.mul(x, x) for x in range(4))
     assert all(frob.inverse_apply(frob.apply(x)) == x for x in range(4))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
+def test_frobenius_powers_are_the_whole_automorphism_group(q):
+    frobenius = sorted(a.perm for a in L.GaloisFieldRing(q).automorphisms())
+    groups = S.automorphism_groups(S.galois_semiring(q))
+    assert frobenius == [a.perm for a in groups.aut]  # aut is sorted by perm
+
+
+def test_identity_automorphism_on_every_coefficient_ring():
+    rng = random.Random(11)
+    for K in (Z, Q, F2, F5, GF4, L.PrimeField(1_000_003)):
+        ident = S.identity_automorphism(K)
+        for x in [K.zero, K.one] + [K.sample_element(rng) for _ in range(20)]:
+            assert ident.apply(x) == x and ident.inverse_apply(x) == x
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +254,8 @@ def test_commutator_matches_bracket():
     lie = env.lie
     rng = random.Random(7)
     for _ in range(30):
-        uv = {i: Q.sample(rng) for i in range(3)}
-        vv = {i: Q.sample(rng) for i in range(3)}
+        uv = {i: Q.sample_element(rng) for i in range(3)}
+        vv = {i: Q.sample_element(rng) for i in range(3)}
         u, v = env.from_vector(uv), env.from_vector(vv)
         assert u * v - v * u == env.from_vector(lie.bracket(uv, vv))
 
@@ -456,7 +472,7 @@ def test_lift_identity():
     lie = L.sl2(Q)
     env = L.UniversalEnvelope(lie)
     theta = L.LieSemiMorphism(
-        lie, L.ScalarAutomorphism.identity(Q),
+        lie, S.identity_automorphism(Q),
         images=({0: Q.one}, {1: Q.one}, {2: Q.one}))
     lifted = L.lift_semi_automorphism(theta, envelope=env)
     rng = random.Random(3)
@@ -475,7 +491,7 @@ def test_chevalley_lift():
     assert lifted.apply(h) == -h
     rng = random.Random(31)
     for _ in range(20):
-        vec = {i: Q.sample(rng) for i in range(3)}
+        vec = {i: Q.sample_element(rng) for i in range(3)}
         assert lifted.apply(env.from_vector(vec)) == env.from_vector(
             theta.apply_vector(vec))
     # restriction to degree one is the original map
@@ -489,7 +505,7 @@ def test_chevalley_lift():
 def test_lift_rejects_non_bracket_map():
     lie = L.sl2(Q)
     theta = L.LieSemiMorphism(
-        lie, L.ScalarAutomorphism.identity(Q),
+        lie, S.identity_automorphism(Q),
         images=({0: Q.one}, {1: Q.from_int(-1)}, {2: Q.one}))  # h -> -h alone
     with pytest.raises(NotBracketPreserving):
         L.lift_semi_automorphism(theta)
@@ -515,7 +531,7 @@ def test_hat_conjugation():
     nu = M.from_entries(carrier, [[env.generator(2)]])
     assert L.hat_sigma_conjugate(lifted, nu).entries[0][0] == env.generator(0)
     ident = L.lift_semi_automorphism(
-        L.LieSemiMorphism(lie, L.ScalarAutomorphism.identity(F5),
+        L.LieSemiMorphism(lie, S.identity_automorphism(F5),
                           images=({0: 1}, {1: 1}, {2: 1})),
         envelope=env)
     rng = random.Random(19)

@@ -212,6 +212,25 @@ def test_automorphism_group_closure_and_normality():
         assert groups.aut_order == groups.inn_order * groups.out_order
 
 
+def test_map_automorphism_then_composes_and_inverts():
+    # carrier bijections that do not commute, so the order of both
+    # composites shows; `then` does not check the homomorphism laws
+    tropical = S.TropicalSemiring()
+    double = S.MapAutomorphism(
+        tropical, lambda x: None if x is None else 2 * x,
+        lambda x: None if x is None else x / 2, name="double")
+    shift = S.MapAutomorphism(
+        tropical, lambda x: None if x is None else x + 1,
+        lambda x: None if x is None else x - 1, name="shift")
+    both = shift.then(double)
+    rng = random.Random(13)
+    for x in [None, tropical.one] + [tropical.sample_element(rng) for _ in range(20)]:
+        y = both.apply(x)
+        assert y == (None if x is None else 2 * (x + 1))
+        assert both.inverse_apply(y) == x
+    assert repr(both) == "aut<shift;double>"
+
+
 def test_size_limit_on_enumeration():
     with pytest.raises(SizeLimitExceeded):
         S.automorphism_groups(S.zmod_semiring(12), max_candidates=10)
