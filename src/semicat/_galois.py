@@ -7,6 +7,8 @@ polynomial is the lexicographically first monic irreducible of degree k, so
 the tables are reproducible.
 """
 
+import math
+
 from .errors import UnsupportedCarrier
 
 
@@ -14,11 +16,8 @@ def factor_prime_power(q):
     """Return (p, k) with q == p**k, or raise if q is not a prime power."""
     if q < 2:
         raise UnsupportedCarrier(f"{q} is not a prime power")
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
+    # the least divisor above 1 is prime; past sqrt(q) it is q itself
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
     n = q
     while n % p == 0:

@@ -3,11 +3,14 @@
 the degree-truncated envelope carrier that plugs into the matrix-category
 machinery.
 
-Monomials are exponent vectors over the ordered basis; the canonical form of a
-product is reached by bubbling the leftmost out-of-order adjacent pair through
-the bracket rule (and, in restricted mode, collapsing p-th powers through the
-stored p-map images).  An independent word-rewriting route with the opposite
-scan order is kept for cross-checks.
+Monomials are exponent vectors over the ordered basis.  A product is put in
+canonical form by exponent-level straightening: a generator x_i times a PBW
+monomial x_j * x^rest with i > j is x_j * (x_i * x^rest) + [x_i, x_j] * x^rest,
+memoized per envelope on (i, exponent vector); in restricted mode a p-th power
+at the front is traded for the stored p-map image.  An independent
+word-rewriting route, rightmost pair first, is kept for cross-checks.  Both
+run their recursions on explicit stacks, so no degree reaches Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ from .errors import (
     VerificationReport,
 )
 from .matcat import _mat_mul
-from .semirings import PermutationAutomorphism, Semiring, identity_automorphism
+from .semirings import (
+    MAX_TABLE_SIZE,
+    PermutationAutomorphism,
+    Semiring,
+    identity_automorphism,
+)
 
 # The Jacobi identity is checked on every basis triple; past this many
 # triples validate_lie refuses the algebra instead of sweeping.
@@ -99,35 +107,43 @@ class IntegerRing(CoefficientRing):
         return ("Z",)
 
 
+def _rational(x):
+    """An exact rational as ``int`` when integral, else as its ``Fraction``."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField(CoefficientRing):
+    """Q with integral values as ``int`` and the rest as reduced ``Fraction``s,
+    so integer-valued arithmetic never leaves ``int``."""
+
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def try_unit_inverse(self, a):
-        return None if a == 0 else 1 / Fraction(a)
+        return None if a == 0 else _rational(1 / Fraction(a))
 
     def sample_element(self, rng):
-        return Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3)))
+        return _rational(Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))))
 
     def value_to_json(self, a):
         return str(a)
 
     def value_from_json(self, data):
         try:
-            return Fraction(str(data))
+            return _rational(Fraction(str(data)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"coefficient {data!r} is not a rational number") from exc
 
@@ -135,11 +151,44 @@ class RationalField(CoefficientRing):
         return ("Q",)
 
 
+# Miller-Rabin on the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for n below _MILLER_RABIN_EXACT_BELOW."""
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(CoefficientRing):
     is_finite = True
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
+        if p >= _MILLER_RABIN_EXACT_BELOW:
+            raise SizeLimitExceeded(
+                f"zmod:{p}: primality is decided exactly only below "
+                f"{_MILLER_RABIN_EXACT_BELOW}")
+        if not _is_prime(p):
             raise UnsupportedCarrier(f"{p} is not prime")
         self.p = p
         self.characteristic = p
@@ -257,6 +306,9 @@ def coefficient_ring(spec):
             q = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"bad field order in {spec!r}") from exc
+        if q > MAX_TABLE_SIZE:
+            raise SizeLimitExceeded(
+                f"gf:{q} exceeds the table size limit {MAX_TABLE_SIZE}")
         p, k = factor_prime_power(q)
         return PrimeField(p) if k == 1 else GaloisFieldRing(q)
     raise ParseError(f"unknown coefficient ring {spec!r}")
@@ -276,6 +328,31 @@ def _accumulate(K, out, terms, c=None):
         else:
             out[key] = s
     return out
+
+
+def _memoized(memo, key, expand):
+    """memo[key] of a memoized recursion, run on an explicit stack.
+
+    ``expand(key)`` is a generator: it yields each key whose value it needs,
+    is sent that value back, and returns its own value, which is stored.
+    So the Python stack stays flat however deep the recursion goes.
+    """
+    value = memo.get(key)
+    if value is not None:
+        return value
+    stack = [(key, expand(key))]
+    while stack:
+        top, steps = stack[-1]
+        try:
+            need = steps.send(value)
+        except StopIteration as done:
+            value = memo[top] = done.value
+            stack.pop()
+            continue
+        value = memo.get(need)
+        if value is None:
+            stack.append((need, expand(need)))
+    return value
 
 
 def _exponents(dim, word):
@@ -655,7 +732,7 @@ class UniversalEnvelope:
         self.lie = lie
         self.ring = lie.ring
         self.restricted = restricted
-        self._nf_cache = {}
+        self._products = {}  # (i, exp) -> x_i * x^exp
 
     def key(self):
         return (self.lie.key(),
@@ -718,49 +795,51 @@ class UniversalEnvelope:
     def normal_form_word(self, word):
         """Canonical coefficients of a product word of basis generators.
 
-        Rewrites the leftmost out-of-order adjacent pair through the bracket,
-        or (restricted mode) the leftmost run of p equal letters through the
-        stored p-image; terminates by the degree-then-inversions measure.
+        Folds the letters into 1 from the right, each through ``_times``.
         """
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
         K = self.ring
-        desc = None
-        for t in range(len(word) - 1):
-            if word[t] > word[t + 1]:
-                desc = t
-                break
-        run_at = None
-        if self.restricted is not None:
-            p = self.restricted.p
-            run = 1
-            for t in range(1, len(word)):
-                if word[t] == word[t - 1]:
-                    run += 1
-                    if run == p:
-                        run_at = t - p + 1
-                        break
-                else:
-                    run = 1
-        if desc is None and run_at is None:
-            result = {_exponents(self.lie.dim, word): K.one}
-        elif run_at is not None and (desc is None or run_at <= desc):
-            p = self.restricted.p
-            letter = word[run_at]
-            result = {}
-            for k, c in self.restricted.image(letter).items():
-                sub = word[:run_at] + (k,) + word[run_at + p:]
-                _accumulate(K, result, self.normal_form_word(sub).items(), c)
-        else:
-            j, i = word[desc], word[desc + 1]  # j > i
-            swapped = word[:desc] + (i, j) + word[desc + 2:]
-            result = dict(self.normal_form_word(swapped))
-            for k, c in self.lie.bracket_basis(j, i).items():
-                sub = word[:desc] + (k,) + word[desc + 2:]
-                _accumulate(K, result, self.normal_form_word(sub).items(), c)
-        self._nf_cache[word] = result
+        result = {(0,) * self.lie.dim: K.one}
+        for letter in reversed(word):
+            step = {}
+            for exp, c in result.items():
+                _accumulate(K, step, self._times(letter, exp).items(), c)
+            result = step
         return result
+
+    def _times(self, i, exp):
+        """x_i times the PBW monomial x^exp, in canonical form (memoized)."""
+        return _memoized(self._products, (i, exp), self._straighten)
+
+    def _straighten(self, key):
+        """x_i * x^exp for ``_memoized``: yields the (letter, monomial)
+        products it needs.
+
+        Write x^exp = x_j * x^rest with j its first letter.  If i <= j the
+        exponent of x_i goes up by one; in restricted mode, once it reaches p
+        at the front, x_i^p is traded for its stored p-image times x^rest.
+        Otherwise x_i * x_j * x^rest = x_j * (x_i * x^rest) + [x_i, x_j] * x^rest.
+        """
+        i, exp = key
+        K = self.ring
+        j = next((t for t, a in enumerate(exp) if a), len(exp))
+        rest = list(exp)
+        out = {}
+        if i <= j:
+            rest[i] += 1
+            if self.restricted is None or rest[i] < self.restricted.p:
+                return {tuple(rest): K.one}
+            rest[i] = 0
+            rest = tuple(rest)
+            for k, c in self.restricted.image(i).items():
+                _accumulate(K, out, (yield k, rest).items(), c)
+            return out
+        rest[j] -= 1
+        rest = tuple(rest)
+        for m, c in (yield i, rest).items():
+            _accumulate(K, out, (yield j, m).items(), c)
+        for k, c in self.lie.bracket_basis(i, j).items():
+            _accumulate(K, out, (yield k, rest).items(), c)
+        return out
 
     def multiply(self, u, v):
         K = self.ring
@@ -870,8 +949,11 @@ def reduce_p_powers(restricted_envelope, u):
 def multiply_by_word_rewriting(u, v):
     """Independent cross-check route for products.
 
-    Flattens monomials to generator words and reduces with a rightmost-first
-    scan (the engine proper bubbles leftmost-first), sharing no cache with it.
+    Flattens monomial pairs to generator words and rewrites whole words: the
+    rightmost out-of-order adjacent pair first through the bracket, then (in
+    restricted mode) the rightmost run of p equal letters through the stored
+    p-image.  It keeps its own memo on words and shares with the
+    exponent-level engine only the explicit-stack driver ``_memoized``.
     """
     env = u.envelope
     K = env.ring
@@ -879,46 +961,35 @@ def multiply_by_word_rewriting(u, v):
     restricted = env.restricted
     memo = {}
 
-    def reduce_word(word):
-        if word in memo:
-            return memo[word]
-        spot = None
-        kind = None
+    def rewrite(word):
+        pieces = None
         for t in range(len(word) - 2, -1, -1):
             if word[t] > word[t + 1]:
-                spot, kind = t, "swap"
+                j, i = word[t], word[t + 1]
+                pieces = [(None, word[:t] + (i, j) + word[t + 2:])]
+                pieces += [(c, word[:t] + (k,) + word[t + 2:])
+                           for k, c in lie.bracket_basis(j, i).items()]
                 break
-        if restricted is not None and spot is None:
+        if restricted is not None and pieces is None:
             p = restricted.p
             for t in range(len(word) - p, -1, -1):
                 if len(set(word[t:t + p])) == 1:
-                    spot, kind = t, "p-run"
+                    pieces = [(c, word[:t] + (k,) + word[t + p:])
+                              for k, c in restricted.image(word[t]).items()]
                     break
-        if spot is None:
-            memo[word] = {_exponents(lie.dim, word): K.one}
-            return memo[word]
+        if pieces is None:
+            return {_exponents(lie.dim, word): K.one}
         out = {}
-        if kind == "swap":
-            j, i = word[spot], word[spot + 1]
-            pieces = [(K.one, word[:spot] + (i, j) + word[spot + 2:])]
-            for k, c in lie.bracket_basis(j, i).items():
-                pieces.append((c, word[:spot] + (k,) + word[spot + 2:]))
-        else:
-            letter = word[spot]
-            pieces = [
-                (c, word[:spot] + (k,) + word[spot + restricted.p:])
-                for k, c in restricted.image(letter).items()
-            ]
         for c, piece in pieces:
-            _accumulate(K, out, reduce_word(piece).items(), c)
-        memo[word] = out
+            _accumulate(K, out, (yield piece).items(), c)
         return out
 
     total = {}
     for ea, ca in u.coeffs.items():
         for eb, cb in v.coeffs.items():
             word = env.word_of(ea) + env.word_of(eb)
-            _accumulate(K, total, reduce_word(word).items(), K.mul(ca, cb))
+            nf = _memoized(memo, word, rewrite)
+            _accumulate(K, total, nf.items(), K.mul(ca, cb))
     return env.element(total)
 
 

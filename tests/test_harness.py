@@ -349,6 +349,27 @@ def test_cli_lie_commands(capsys):
     capsys.readouterr()
 
 
+def test_cli_lie_mul_witness_over_q(capsys):
+    assert cli.main(["lie", "mul", "--file", "sl2:Q",
+                     "--left", "e,e", "--right", "f,f"]) == 0
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert record["name"] == "normal-form" and record["status"] == "pass"
+    assert record["witness"] == "-2*h + 2*hh + -8*fe + 4*fhe + 1*ffee"
+
+
+def test_cli_lie_coefficient_specs_are_bounded(capsys):
+    for spec in ("sl2:gf:1024", "sl2:gf:2305843009213693951",
+                 "sl2:zmod:3400000000000000000000023"):
+        start = time.perf_counter()
+        assert cli.main(["lie", "validate", "--file", spec]) == 2
+        assert time.perf_counter() - start < 2.0, spec
+        capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(["lie", "validate", "--file", "sl2:zmod:2305843009213693951"]) == 0
+    assert time.perf_counter() - start < 2.0
+    capsys.readouterr()
+
+
 def test_cli_restricted_file_flow(tmp_path, capsys):
     data = {
         "name": "heis3", "ring": "zmod:3", "dim": 3,

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -16,8 +19,10 @@ from semicat.errors import (
     JacobiViolation,
     NotBracketPreserving,
     ParseError,
+    SizeLimitExceeded,
     UnsupportedCarrier,
 )
+from semicat._galois import factor_prime_power
 from support import monomials_up_to
 
 Q = L.RationalField()
@@ -69,6 +74,44 @@ def test_identity_automorphism_on_every_coefficient_ring():
         ident = S.identity_automorphism(K)
         for x in [K.zero, K.one] + [K.sample_element(rng) for _ in range(20)]:
             assert ident.apply(x) == x and ident.inverse_apply(x) == x
+
+
+@given(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+       st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)))
+@settings(max_examples=200, deadline=None)
+def test_rationals_are_exact_with_integral_values_as_int(a, b):
+    for got, want in ((Q.add(a, b), a + b), (Q.mul(a, b), a * b)):
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
+        assert (type(got) is int) == (want.denominator == 1)
+        back = Q.value_from_json(Q.value_to_json(got))
+        assert back == got and type(back) is type(got)
+    inverse = Q.try_unit_inverse(a)
+    assert inverse is None if a == 0 else Q.mul(a, inverse) == 1
+    assert inverse is None or (type(inverse) is int) == ((1 / a).denominator == 1)
+
+
+def test_rational_constants_and_samples_are_int_when_integral():
+    assert all(type(x) is int for x in (Q.zero, Q.one, Q.from_int(-3),
+                                        Q.value_from_json("4/2"),
+                                        Q.try_unit_inverse(Fraction(1, 3))))
+    rng = random.Random(0)
+    for x in (Q.sample_element(rng) for _ in range(50)):
+        assert (type(x) is int) == (Fraction(x).denominator == 1)
+
+
+def test_prime_field_decides_primality_exactly():
+    small = [n for n in range(-2, 2000) if n >= 2 and all(
+        n % d for d in range(2, int(n ** 0.5) + 1))]
+    assert [n for n in range(-2, 2000) if L._is_prime(n)] == small
+    # strong pseudoprimes to every prime base up to 7 and up to 23
+    assert not L._is_prime(3_215_031_751)
+    with pytest.raises(UnsupportedCarrier):
+        L.PrimeField(3_825_123_056_546_413_051)
+    assert L.PrimeField(2**61 - 1).mul(2**60, 2) == 1
+    with pytest.raises(SizeLimitExceeded):
+        L.PrimeField(L._MILLER_RABIN_EXACT_BELOW + 2)
+    assert factor_prime_power(2**31 - 1) == (2**31 - 1, 1)
+    assert factor_prime_power(243) == (3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +269,68 @@ def test_word_oracle_agreement_degree3():
         for u in monomials:
             for v in monomials:
                 assert u * v == L.multiply_by_word_rewriting(u, v)
+
+
+def _sl2_with_a_half():
+    """sl2 over Q in the basis (-f/2, h, e), read from a JSON file, so that
+    [f', e] = h/2 puts a non-integral structure constant into the products."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sl2-half.json")
+        with open(path, "w") as fh:
+            json.dump({"ring": "Q", "dim": 3, "labels": ["f", "h", "e"],
+                       "brackets": [[0, 1, [[0, 2]]], [0, 2, [[1, "1/2"]]],
+                                    [1, 2, [[2, 2]]]]}, fh)
+        lie, _ = L.lie_from_file(path)
+    assert lie.bracket_basis(0, 2) == {1: Fraction(1, 2)}
+    return lie
+
+
+F7 = L.PrimeField(7)
+ORACLE_ENVELOPES = (
+    sl2_env(Q), sl2_env(Z), sl2_env(F7),
+    L.UniversalEnvelope(L.heisenberg(Z)),
+    L.UniversalEnvelope(L.sl2(F5), restricted=L.RestrictedStructure(
+        p=5, images=({}, {1: 1}, {}))),  # h^[5] = h
+    L.UniversalEnvelope(_sl2_with_a_half()),
+)
+
+
+def _word_by_oracle(env, word):
+    out = env.one()
+    for letter in word:
+        out = L.multiply_by_word_rewriting(out, env.generator(letter))
+    return out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_products_agree_with_word_oracle(data):
+    env = data.draw(st.sampled_from(ORACLE_ENVELOPES))
+    letters = st.integers(0, env.lie.dim - 1)
+    left = data.draw(st.lists(letters, max_size=8))
+    right = data.draw(st.lists(letters, max_size=8 - len(left)))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    u = _word_by_oracle(env, left).scale(env.ring.sample_element(rng))
+    v = _word_by_oracle(env, right) + env.scalar(env.ring.sample_element(rng))
+    assert u * v == L.multiply_by_word_rewriting(u, v)
+    whole = env.element(env.normal_form_word(tuple(left + right)))
+    assert whole == _word_by_oracle(env, left + right)
+
+
+def test_deep_products_need_no_recursion():
+    env = sl2_env(F7)
+    e12, f12 = env.monomial((0, 0, 12)), env.monomial((12, 0, 0))  # 144 inversions
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        product = e12 * f12
+        oracle = L.multiply_by_word_rewriting(e12, f12)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert product == oracle and product.degree() == 24
 
 
 def test_associativity_exhaustive_degree2():
