@@ -953,7 +953,7 @@ def multiply_by_word_rewriting(u, v):
     rightmost out-of-order adjacent pair first through the bracket, then (in
     restricted mode) the rightmost run of p equal letters through the stored
     p-image.  It keeps its own memo on words and shares with the
-    exponent-level engine only the explicit-stack driver ``_memoized``.
+    exponent-level engine only the explicit-stack loop ``_memoized``.
     """
     env = u.envelope
     K = env.ring
