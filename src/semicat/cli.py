@@ -117,9 +117,10 @@ def _dispatch(args):
     if args.group == "report":
         try:
             with open(args.path) as fh:
-                return report_from_json(fh.read())
-        except OSError as exc:
+                text = fh.read()
+        except (OSError, ValueError) as exc:
             raise ParseError(f"cannot read report {args.path}: {exc}") from exc
+        return report_from_json(text)
     raise ConfigError(f"unknown command group {args.group!r}")
 
 

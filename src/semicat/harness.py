@@ -317,7 +317,11 @@ def load_lie(spec):
             return sl2(ring), None
         if match.group(1) == "heisenberg":
             return heisenberg(ring), None
-        return abelian(ring, int(match.group(2))), None
+        try:
+            dim = int(match.group(2))
+        except ValueError as exc:  # past the digit limit of int()
+            raise ParseError(f"bad dimension in {spec!r}") from exc
+        return abelian(ring, dim), None
     return lie_from_file(spec)
 
 

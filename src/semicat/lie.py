@@ -569,7 +569,7 @@ def lie_from_file(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot parse lie file {path}: {exc}") from exc
     return lie_from_dict(data)
 

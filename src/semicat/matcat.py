@@ -355,32 +355,26 @@ def invert(m, cap=DEFAULT_INVERT_CAP):
     return None
 
 
-_INVERTIBLE_CACHE = {}
+def random_invertible(semiring, n, rng, cap=DEFAULT_INVERT_CAP):
+    """A uniformly random invertible n x n morphism and its inverse.
 
-
-def invertible_morphisms(semiring, n, cap=DEFAULT_INVERT_CAP):
-    """All (M, M_inverse) pairs of invertible n x n morphisms, lexicographic."""
+    Rejection sampling: random matrices are drawn until one inverts, each
+    charged the |R|^n row actions of ``invert``, so at most cap // |R|^n are
+    drawn.  Raises SearchCapExceeded past the cap or on an infinite carrier.
+    """
     if not semiring.is_finite:
-        raise SearchCapExceeded("invertible enumeration needs a finite carrier")
-    cache_key = (semiring.key(), n)
-    if cache_key in _INVERTIBLE_CACHE:
-        return _INVERTIBLE_CACHE[cache_key]
+        raise SearchCapExceeded("drawing an invertible matrix needs a finite carrier")
     total = semiring.size ** (n * n)
     if total > cap:
-        raise SearchCapExceeded(
-            f"{total} candidate matrices exceed the enumeration cap {cap}")
-    out = []
-    for a in enumerate_morphisms(semiring, n, n):
-        b = invert(a, cap)
-        if b is not None:
-            out.append((a, b))
-    _INVERTIBLE_CACHE[cache_key] = out
-    return out
-
-
-def random_invertible(semiring, n, rng, cap=DEFAULT_INVERT_CAP):
-    pool = invertible_morphisms(semiring, n, cap)
-    return pool[rng.randrange(len(pool))]
+        raise SearchCapExceeded(f"{total} candidate matrices exceed the cap {cap}")
+    draws = cap // semiring.size ** n
+    for _ in range(draws):
+        m = random_morphism(semiring, n, n, rng)
+        inv = invert(m, cap)
+        if inv is not None:
+            return m, inv
+    raise SearchCapExceeded(
+        f"none of {draws} random {n}x{n} matrices inverts within the cap {cap}")
 
 
 # ---------------------------------------------------------------------------

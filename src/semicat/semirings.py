@@ -468,7 +468,7 @@ def read_semiring_file(path):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot parse semiring file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"semiring file {path} is not a JSON object")

@@ -145,6 +145,19 @@ def brute_force_inverse(semiring, entries):
     return None
 
 
+def invertible_morphisms(semiring, n):
+    """All (M, M_inverse) pairs of invertible n x n morphisms over a finite
+    carrier, in lexicographic order, by inverting every candidate matrix."""
+    from semicat import matcat as M
+
+    out = []
+    for a in M.enumerate_morphisms(semiring, n, n):
+        b = M.invert(a)
+        if b is not None:
+            out.append((a, b))
+    return out
+
+
 def permutation_automorphisms(semiring):
     """The perms of every automorphism of a finite carrier, sorted, by a loop
     over all (size-2)! bijections that fix 0 and 1."""
@@ -245,7 +258,7 @@ def brute_force_inner_witness(functor):
     for n in ranks:
         endos = [(f, functor.on_morphism(f)) for f in M.enumerate_morphisms(R, n, n)]
         survivors = [
-            (t, ti) for t, ti in M.invertible_morphisms(R, n)
+            (t, ti) for t, ti in invertible_morphisms(R, n)
             if all(t.then(image) == f.then(t) for f, image in endos)]
         if not survivors:
             return None

@@ -18,6 +18,7 @@ from support import (
     all_shape_morphisms,
     brute_force_inner_witness,
     catalog_finite,
+    invertible_morphisms,
     matrix_ring_f2,
     pairwise_laws_hold,
     upper_triangular_boolean,
@@ -174,7 +175,7 @@ def test_linear_certificate_agrees_with_pairwise_oracle():
             data = A.random_semi_inner_data(semiring, 2, rng, groups)
             left = {n: M.invert(data.component(n)) for n in (0, 1, 2)}
             right = {n: data.component(n) for n in (0, 1)}
-            right[2] = next(t for t, _ in M.invertible_morphisms(semiring, 2)
+            right[2] = next(t for t, _ in invertible_morphisms(semiring, 2)
                             if t != data.component(2))
 
             def mismatched(f, data=data, left=left, right=right):
@@ -527,7 +528,7 @@ def test_inner_witness_matches_exhaustive_oracle():
             # T_n^-1 ; f ; S_m with S_2 != T_2: not a functor
             left = {n: M.random_invertible(semiring, n, rng) for n in (1, 2)}
             right = {1: left[1][0], 2: next(
-                t for t, _ in M.invertible_morphisms(semiring, 2) if t != left[2][0])}
+                t for t, _ in invertible_morphisms(semiring, 2) if t != left[2][0])}
 
             def mixed(f, left=left, right=right):
                 return left[f.dom.rank][1].then(f).then(right[f.cod.rank])

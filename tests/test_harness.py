@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semicat
 from semicat import cli
@@ -196,10 +201,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     not_an_object = tmp_path / "five.json"
     not_an_object.write_text("5")
-    for argv in (["semiring", "validate", "--semiring"],
-                 ["semiring", "autgroups", "--semiring"],
-                 ["lie", "validate", "--file"]):
-        assert cli.main(argv + [str(not_an_object)]) == 2
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for path in (not_an_object, not_utf8):
+        for argv in (["semiring", "validate", "--semiring"],
+                     ["semiring", "autgroups", "--semiring"],
+                     ["lie", "validate", "--file"],
+                     ["report", "show"]):
+            assert cli.main(argv + [str(path)]) == 2
+            capsys.readouterr()
+    # a dimension past int()'s digit limit, and a NUL byte in a file name
+    for spec in ("abelian" + "9" * 5000 + ":Q", "no\x00such.json"):
+        assert cli.main(["lie", "validate", "--file", spec]) == 2
         capsys.readouterr()
     too_big = tmp_path / "zmod257.json"
     too_big.write_text(json.dumps({
@@ -308,6 +321,14 @@ def test_cli_autmorph_flows(capsys):
     capsys.readouterr()
 
 
+def test_cli_verify_gf4_cap3_ends_quickly(capsys):
+    # the family draws one invertible 3 x 3 matrix, not all of GL_3(F_4)
+    start = time.perf_counter()
+    assert cli.main(["autmorph", "verify", "--semiring", "gf:4", "--cap", "3"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
 def test_cli_autgroups_past_the_factorial(capsys):
     # (size-2)! bijections would be far over the cap on each of these
     for spec, order in (("gf:16", 4), ("gf:32", 5), ("zmod:12", 1)):
@@ -368,6 +389,40 @@ def test_cli_lie_coefficient_specs_are_bounded(capsys):
     assert cli.main(["lie", "validate", "--file", "sl2:zmod:2305843009213693951"]) == 0
     assert time.perf_counter() - start < 2.0
     capsys.readouterr()
+
+
+_SPEC_TAILS = st.one_of(
+    st.text(max_size=12),
+    st.integers(-300, 300).map(str),
+    st.integers().map(str),
+    st.text("0123456789", min_size=4300, max_size=5000),
+)
+_SEMIRING_SPECS = st.builds(
+    "{}{}".format,
+    st.sampled_from(("gf:", "zmod:", "boolean", "tropical", "trivial")), _SPEC_TAILS)
+_RING_SPECS = st.one_of(
+    st.sampled_from(("Q", "Z")),
+    st.builds("{}{}".format, st.sampled_from(("zmod:", "gf:")), _SPEC_TAILS),
+    _SPEC_TAILS)
+_LIE_SPECS = st.one_of(
+    st.builds("{}:{}".format, st.sampled_from(("sl2", "heisenberg")), _RING_SPECS),
+    st.builds("abelian{}:{}".format, _SPEC_TAILS, _RING_SPECS))
+
+
+@given(st.one_of(
+    st.builds(lambda spec: ["semiring", "validate", f"--semiring={spec}"],
+              _SEMIRING_SPECS),
+    st.builds(lambda spec: ["lie", "validate", f"--file={spec}"], _LIE_SPECS)))
+@settings(max_examples=100, deadline=timedelta(seconds=60))
+def test_cli_spec_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_restricted_file_flow(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicat import matcat as M
 from semicat import semirings as S
@@ -18,6 +21,7 @@ from support import (
     brute_force_inverse,
     catalog_all,
     catalog_finite,
+    invertible_morphisms,
     upper_triangular_boolean,
 )
 
@@ -157,21 +161,21 @@ def test_invert_search_cap():
 
 def test_invertible_enumeration_recheck():
     f4 = S.galois_semiring(4)
-    pairs = M.invertible_morphisms(f4, 2)
+    pairs = invertible_morphisms(f4, 2)
     assert len(pairs) == 180  # |GL_2| over the four-element field
     for a, b in pairs[:20] + pairs[-20:]:
         assert a.then(b).is_identity() and b.then(a).is_identity()
     # only the permutation matrices invert over the boolean carrier
-    boolean_pairs = M.invertible_morphisms(B, 2)
+    boolean_pairs = invertible_morphisms(B, 2)
     assert sorted(a.entries for a, _ in boolean_pairs) == [
         ((0, 1), (1, 0)), ((1, 0), (0, 1))]
     # textbook general-linear group orders
-    assert len(M.invertible_morphisms(Z4, 2)) == 96
-    assert len(M.invertible_morphisms(S.zmod_semiring(2), 2)) == 6
+    assert len(invertible_morphisms(Z4, 2)) == 96
+    assert len(invertible_morphisms(S.zmod_semiring(2), 2)) == 6
 
 
 def _check_against_pair_scan(semiring, n, matrices):
-    pool = {a.entries: b.entries for a, b in M.invertible_morphisms(semiring, n)}
+    pool = {a.entries: b.entries for a, b in invertible_morphisms(semiring, n)}
     for a in matrices:
         expected = brute_force_inverse(semiring, a.entries)
         found = M.invert(a)
@@ -190,8 +194,52 @@ def test_inverse_search_matches_pair_scan_oracle():
     _check_against_pair_scan(ut2, 1, list(M.enumerate_morphisms(ut2, 1, 1)))
     everything = list(M.enumerate_morphisms(ut2, 2, 2))
     sample = random.Random(7).sample(everything, 30)
-    sample += [a for a, _ in M.invertible_morphisms(ut2, 2)]
+    sample += [a for a, _ in invertible_morphisms(ut2, 2)]
     _check_against_pair_scan(ut2, 2, sample)
+
+
+def _is_permutation_matrix(m):
+    """Whether a boolean 3 x 3 matrix has one 1 in each row and column."""
+    return all(sorted(line) == [0, 0, 1] for line in m.entries + tuple(zip(*m.entries)))
+
+
+def test_random_invertible_draws_are_bounded():
+    # over the boolean carrier only the 6 permutation matrices of 512 invert
+    # at n = 3; cap 512 admits invert's candidate count but only 512 // 2^3
+    # draws, and the first 64 draws of seed 2 are not permutations
+    replay = random.Random(2)
+    assert not any(_is_permutation_matrix(M.random_morphism(B, 3, 3, replay))
+                   for _ in range(512 // 2 ** 3))
+    with pytest.raises(SearchCapExceeded):
+        M.random_invertible(B, 3, random.Random(2), cap=512)
+    with pytest.raises(SearchCapExceeded):
+        M.random_invertible(B, 3, random.Random(2), cap=511)  # 2^9 candidates
+    with pytest.raises(SearchCapExceeded):
+        M.random_invertible(S.IntegersSemiring(), 1, random.Random(2))
+    m, inv = M.random_invertible(B, 3, random.Random(2))
+    assert _is_permutation_matrix(m)
+    assert m.then(inv).is_identity() and inv.then(m).is_identity()
+
+
+@functools.cache
+def _oracle_pool(semiring, n):
+    return {a.entries: b.entries for a, b in invertible_morphisms(semiring, n)}
+
+
+@given(st.sampled_from(catalog_finite() + [upper_triangular_boolean()]),
+       st.sampled_from((1, 2)), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_random_invertible_agrees_with_oracle(semiring, n, seed):
+    m, inv = M.random_invertible(semiring, n, random.Random(seed))
+    assert _oracle_pool(semiring, n).get(m.entries) == inv.entries
+
+
+def test_random_invertible_covers_gl2_f2():
+    f2 = S.zmod_semiring(2)
+    rng = random.Random(3)
+    drawn = {M.random_invertible(f2, 2, rng)[0].entries for _ in range(200)}
+    assert drawn == {a.entries for a, _ in invertible_morphisms(f2, 2)}
+    assert len(drawn) == 6
 
 
 def test_zero_object():
