@@ -460,8 +460,8 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
     elif action == "mul":
         if left is None or right is None:
             raise ConfigError("mul needs --left and --right words")
-        u = _word_element(envelope, _parse_word(lie, left))
-        v = _word_element(envelope, _parse_word(lie, right))
+        u = envelope.element(envelope.normal_form_word(_parse_word(lie, left)))
+        v = envelope.element(envelope.normal_form_word(_parse_word(lie, right)))
         product = u * v
         oracle = multiply_by_word_rewriting(u, v)
         rec.add("normal-form", "exhaustive", product == oracle,
@@ -504,10 +504,3 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
     else:
         raise ConfigError(f"unknown lie action {action!r}")
     return Report(experiment={**config.echo(), **extra}, records=rec.records)
-
-
-def _word_element(envelope, word):
-    out = envelope.one()
-    for letter in word:
-        out = out * envelope.generator(letter)
-    return out

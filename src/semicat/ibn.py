@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SearchCapExceeded, UnsupportedCarrier
-from .matcat import Morphism, _identity_entries, _mat_mul, from_entries, identity
+from .matcat import _identity_entries, _mat_mul, from_entries, identity
 from .semirings import opposite_semiring
 
 DEFAULT_PAIR_CAP = 50_000_000
@@ -152,32 +152,3 @@ def left_right_ibn_agree(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=Tr
     right = classify_type(opposite_semiring(semiring), cap, search_cap, shortcut)
     return LeftRightReport(left=left, right=right)
 
-
-def extend_witness(witness, steps_up=0, pad=0):
-    """Transport an F_n ~ F_{n+h} witness to larger / congruent ranks.
-
-    ``pad`` block-extends both matrices by an identity of that rank (giving
-    F_{n+pad} ~ F_{n+h+pad}); ``steps_up`` then chains the padded witness,
-    moving up by h each time.  The result is re-verified.
-    """
-    a, b = witness
-    R = a.semiring
-    if pad:
-        a = _block_diag(a, identity(R, pad))
-        b = _block_diag(b, identity(R, pad))
-    base_a, base_b = a, b
-    h = base_a.cod.rank - base_a.dom.rank
-    for step in range(1, steps_up + 1):
-        a = a.then(_block_diag(base_a, identity(R, step * h)))
-        b = _block_diag(base_b, identity(R, step * h)).then(b)
-    if not (a.then(b).is_identity() and b.then(a).is_identity()):
-        raise AssertionError("transported witness failed verification")
-    return a, b
-
-
-def _block_diag(m, other):
-    R = m.semiring
-    left, right = (R.zero,) * m.cod.rank, (R.zero,) * other.cod.rank
-    return Morphism(
-        R, m.dom.rank + other.dom.rank, m.cod.rank + other.cod.rank,
-        [row + right for row in m.entries] + [left + row for row in other.entries])

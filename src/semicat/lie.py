@@ -793,18 +793,22 @@ class UniversalEnvelope:
         return tuple(word)
 
     def normal_form_word(self, word):
-        """Canonical coefficients of a product word of basis generators.
+        """Canonical coefficients of a product word of basis generators."""
+        return self._left_multiply(word, {(0,) * self.lie.dim: self.ring.one})
 
-        Folds the letters into 1 from the right, each through ``_times``.
+    def _left_multiply(self, word, coeffs):
+        """The word times the canonical element ``coeffs``, in canonical form.
+
+        Folds the letters into ``coeffs`` from the right, each through
+        ``_times``.
         """
         K = self.ring
-        result = {(0,) * self.lie.dim: K.one}
         for letter in reversed(word):
             step = {}
-            for exp, c in result.items():
+            for exp, c in coeffs.items():
                 _accumulate(K, step, self._times(letter, exp).items(), c)
-            result = step
-        return result
+            coeffs = step
+        return coeffs
 
     def _times(self, i, exp):
         """x_i times the PBW monomial x^exp, in canonical form (memoized)."""
@@ -845,10 +849,8 @@ class UniversalEnvelope:
         K = self.ring
         out = {}
         for ea, ca in u.coeffs.items():
-            wa = self.word_of(ea)
-            for eb, cb in v.coeffs.items():
-                nf = self.normal_form_word(wa + self.word_of(eb))
-                _accumulate(K, out, nf.items(), K.mul(ca, cb))
+            product = self._left_multiply(self.word_of(ea), v.coeffs)
+            _accumulate(K, out, product.items(), ca)
         return PbwElement(self, out)
 
 
@@ -893,9 +895,6 @@ class PbwElement:
         if not isinstance(other, PbwElement) or other.envelope != self.envelope:
             raise UnsupportedCarrier("operands live in different envelopes")
 
-    def is_zero(self):
-        return not self.coeffs
-
     def degree(self):
         """Maximal total exponent; None is the bottom value of the zero element."""
         if not self.coeffs:
@@ -934,16 +933,6 @@ class PbwElement:
             word = "".join(labels[i] * a for i, a in enumerate(exp))
             parts.append(f"{c}" if not word else f"{c}*{word}")
         return " + ".join(parts)
-
-
-def reduce_p_powers(restricted_envelope, u):
-    """Rewrite an unrestricted element into the restricted envelope by
-    exhausting p-th powers through the stored images."""
-    env = restricted_envelope
-    out = {}
-    for exp, c in u.coeffs.items():
-        _accumulate(env.ring, out, env.normal_form_word(env.word_of(exp)).items(), c)
-    return PbwElement(env, out)
 
 
 def multiply_by_word_rewriting(u, v):
@@ -1001,11 +990,6 @@ def commutative_multiply(u, v):
                    for eb, cb in v.coeffs.items())
         _accumulate(u.envelope.ring, out, shifted, ca)
     return PbwElement(u.envelope, out)
-
-
-def filtration_and_gr(u):
-    """(degree, leading form); the zero element reports (None, 0)."""
-    return u.degree(), u.leading()
 
 
 def is_unit(u):
@@ -1076,12 +1060,6 @@ class FreeLieModuleElement:
         self.envelope = envelope
         self.generators = tuple(generators)
         self.data = _accumulate(envelope.ring, {}, data.items())
-
-    @classmethod
-    def basis_element(cls, envelope, generators, vector):
-        gen_idx = generators.index(vector.generator)
-        return cls(envelope, generators,
-                   {(gen_idx, vector.exponents): envelope.ring.one})
 
     def __add__(self, other):
         return FreeLieModuleElement(self.envelope, self.generators, _accumulate(
@@ -1293,11 +1271,6 @@ class UEnvelopeSemiring(Semiring):
             [list(exp), K.value_to_json(c)]
             for exp, c in sorted(u.coeffs.items())
         ]
-
-    def value_from_json(self, data):
-        K = self.envelope.ring
-        return self.envelope.element(
-            {tuple(exp): K.value_from_json(c) for exp, c in data})
 
     def key(self):
         return ("uenv", self.envelope.key(), self.degree_cap)

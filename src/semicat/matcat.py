@@ -193,13 +193,6 @@ def morphism_to_json(m):
     }
 
 
-def morphism_from_json(semiring, data):
-    entries = [
-        [semiring.value_from_json(e) for e in row] for row in data["entries"]
-    ]
-    return Morphism(semiring, data["dom"], data["cod"], entries)
-
-
 class BiproductSystem:
     """Unit-row injections, unit-column projections, and the fold map of F_n."""
 

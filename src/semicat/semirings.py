@@ -95,9 +95,6 @@ class Semiring:
     def value_to_json(self, x):
         return x
 
-    def value_from_json(self, data):
-        return data
-
     def key(self):
         raise NotImplementedError
 
@@ -250,11 +247,6 @@ class TropicalSemiring(Semiring):
     def value_to_json(self, x):
         return "bottom" if x is None else str(x)
 
-    def value_from_json(self, data):
-        if data == "bottom":
-            return None
-        return Fraction(str(data))
-
     def key(self):
         return ("tropical",)
 
@@ -403,7 +395,10 @@ def galois_semiring(q):
 
 
 def product_semiring(left, right, name=None):
-    """Componentwise product of two finite semirings; pairs encoded as indices."""
+    """Componentwise product of two finite semirings; pairs encoded as indices.
+
+    A product of semirings is a semiring, so its tables are not re-checked.
+    """
     if not (left.is_finite and right.is_finite):
         raise UnsupportedCarrier("product requires finite factors")
     n, m = left.size, right.size
@@ -423,7 +418,7 @@ def product_semiring(left, right, name=None):
                 for b2 in range(m):
                     add[enc(a1, b1)][enc(a2, b2)] = enc(left.add(a1, a2), right.add(b1, b2))
                     mul[enc(a1, b1)][enc(a2, b2)] = enc(left.mul(a1, a2), right.mul(b1, b2))
-    return validate_semiring(
+    return FiniteSemiring(
         add, mul, enc(left.zero, right.zero), enc(left.one, right.one),
         name or f"{left.name}x{right.name}")
 
@@ -501,17 +496,20 @@ def units_of(semiring):
 
 
 def opposite_semiring(semiring):
-    """Same carrier with the multiplication arguments swapped."""
+    """Same carrier with the multiplication arguments swapped.
+
+    A commutative carrier is its own opposite.  The opposite of a semiring is
+    a semiring, so its tables are not re-checked.
+    """
+    if semiring.is_commutative:
+        return semiring
     if isinstance(semiring, FiniteSemiring):
         mul = [
             [semiring.mul_table[b][a] for b in range(semiring.size)]
             for a in range(semiring.size)
         ]
-        return validate_semiring(
-            [list(row) for row in semiring.add_table], mul,
-            semiring.zero, semiring.one, f"{semiring.name}^op")
-    if semiring.is_commutative:
-        return semiring
+        return FiniteSemiring(semiring.add_table, mul, semiring.zero, semiring.one,
+                              f"{semiring.name}^op")
     raise UnsupportedCarrier(f"no opposite construction for {semiring.name}")
 
 

@@ -196,6 +196,40 @@ def pair_scan_iso_witness(semiring, n, m):
     return None
 
 
+def extend_witness(witness, steps_up=0, pad=0):
+    """Transport an F_n ~ F_{n+h} witness to larger / congruent ranks.
+
+    ``pad`` block-extends both matrices by an identity of that rank (giving
+    F_{n+pad} ~ F_{n+h+pad}); ``steps_up`` then chains the padded witness,
+    moving up by h each time.  The result is re-verified.
+    """
+    from semicat.matcat import identity
+
+    a, b = witness
+    R = a.semiring
+    if pad:
+        a = _block_diag(a, identity(R, pad))
+        b = _block_diag(b, identity(R, pad))
+    base_a, base_b = a, b
+    h = base_a.cod.rank - base_a.dom.rank
+    for step in range(1, steps_up + 1):
+        a = a.then(_block_diag(base_a, identity(R, step * h)))
+        b = _block_diag(base_b, identity(R, step * h)).then(b)
+    if not (a.then(b).is_identity() and b.then(a).is_identity()):
+        raise AssertionError("transported witness failed verification")
+    return a, b
+
+
+def _block_diag(m, other):
+    from semicat.matcat import Morphism
+
+    R = m.semiring
+    left, right = (R.zero,) * m.cod.rank, (R.zero,) * other.cod.rank
+    return Morphism(
+        R, m.dom.rank + other.dom.rank, m.cod.rank + other.cod.rank,
+        [row + right for row in m.entries] + [left + row for row in other.entries])
+
+
 def pairwise_laws_hold(functor):
     """Whether the functor preserves every sum and every composite of
     morphisms up to its cap, by a plain pairwise sweep over raw entries

@@ -3,7 +3,12 @@ import pytest
 from semicat import ibn
 from semicat import semirings as S
 from semicat.errors import SearchCapExceeded, UnsupportedCarrier
-from support import catalog_all, pair_scan_iso_witness, upper_triangular_boolean
+from support import (
+    catalog_all,
+    extend_witness,
+    pair_scan_iso_witness,
+    upper_triangular_boolean,
+)
 
 B = S.boolean_semiring()
 TRIVIAL = S.trivial_semiring()
@@ -103,10 +108,22 @@ def test_monogenic_congruence_on_trivial():
     # with index 1 and period 1 every pair of positive ranks is isomorphic
     for pad in range(0, 3):
         for steps in range(0, 3):
-            a, b = ibn.extend_witness(base, steps_up=steps, pad=pad)
+            a, b = extend_witness(base, steps_up=steps, pad=pad)
             assert a.dom.rank == 1 + pad
             assert a.cod.rank == 2 + pad + steps
             assert a.then(b).is_identity() and b.then(a).is_identity()
+
+
+def test_opposites_and_products_skip_the_axiom_sweep(monkeypatch):
+    ut = upper_triangular_boolean()
+
+    def sweep(*args):
+        raise AssertionError("axiom sweep ran")
+
+    monkeypatch.setattr(S, "find_axiom_witness", sweep)
+    assert ibn.left_right_ibn_agree(S.galois_semiring(16), 2).agree
+    assert ibn.left_right_ibn_agree(ut, 2).agree
+    assert S.product_semiring(ut, B).size == 16
 
 
 def test_classification_json():

@@ -317,6 +317,25 @@ def test_products_agree_with_word_oracle(data):
     assert whole == _word_by_oracle(env, left + right)
 
 
+def test_product_folds_only_the_left_letters():
+    env = sl2_env(Z)
+    calls = []
+    times = env._times
+
+    def counted(i, exp):
+        calls.append((i, exp))
+        return times(i, exp)
+
+    env._times = counted
+    f, h, e = env.generator(0), env.generator(1), env.generator(2)
+    v = h * h + e * f + e  # fe + h^2 + h + e: four terms of degree <= 2
+    assert len(v.coeffs) == 4
+    calls.clear()
+    product = e * v
+    assert len(calls) == 4
+    assert product == L.multiply_by_word_rewriting(e, v)
+
+
 def test_deep_products_need_no_recursion():
     env = sl2_env(F7)
     e12, f12 = env.monomial((0, 0, 12)), env.monomial((12, 0, 0))  # 144 inversions
@@ -410,11 +429,10 @@ def test_filtration_examples():
     env = sl2_env()
     f, h, e = env.generator(0), env.generator(1), env.generator(2)
     u = e * f  # = fe + h
-    degree, leading = L.filtration_and_gr(u)
-    assert degree == 2 and leading == env.monomial((1, 0, 1))
-    degree, leading = L.filtration_and_gr(env.scalar(Q.from_int(5)))
-    assert degree == 0 and leading == env.scalar(Q.from_int(5))
-    assert L.filtration_and_gr(env.zero())[0] is None
+    assert u.degree() == 2 and u.leading() == env.monomial((1, 0, 1))
+    five = env.scalar(Q.from_int(5))
+    assert five.degree() == 0 and five.leading() == five
+    assert env.zero().degree() is None and env.zero().leading() == env.zero()
 
 
 def test_graded_domain_structure_exhaustive():
@@ -478,7 +496,8 @@ def test_module_element_action():
     env = sl2_env()
     gens = ("x1", "x2")
     basis = L.free_module_basis(env.lie, gens, 1)
-    m = L.FreeLieModuleElement.basis_element(env, gens, basis[0])
+    m = L.FreeLieModuleElement(
+        env, gens, {(gens.index(basis[0].generator), basis[0].exponents): Q.one})
     e = env.generator(2)
     f = env.generator(0)
     acted = m.act(e * f)
@@ -535,7 +554,7 @@ def test_restricted_multiplication_examples():
     ab2 = L.abelian(F2, 1, labels=("x",))
     renv = L.UniversalEnvelope(ab2, restricted=L.RestrictedStructure(2, ({},)))
     x = renv.generator(0)
-    assert (x * x).is_zero()
+    assert x * x == renv.zero()
     f3 = L.PrimeField(3)
     ab3 = L.abelian(f3, 1, labels=("x",))
     renv3 = L.UniversalEnvelope(ab3, restricted=L.RestrictedStructure(3, ({0: 1},)))
@@ -559,7 +578,9 @@ def test_restricted_routes_agree():
         direct = u * v
         assert direct == L.multiply_by_word_rewriting(u, v)
         unrestricted = plain.element(u.coeffs) * plain.element(v.coeffs)
-        assert direct == L.reduce_p_powers(renv, unrestricted)
+        words = (renv.element(renv.normal_form_word(renv.word_of(exp))).scale(c)
+                 for exp, c in unrestricted.coeffs.items())
+        assert direct == sum(words, renv.zero())
 
 
 def test_restricted_exponent_invariant():

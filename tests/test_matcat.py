@@ -249,16 +249,16 @@ def test_zero_object():
     assert through == M.zero_morphism(B, 2, 2)
 
 
-def test_morphism_json_round_trip():
+def test_morphism_to_json():
     trop = S.TropicalSemiring()
     from fractions import Fraction
 
     m = M.from_entries(trop, [[Fraction(1, 2), None]])
     data = M.morphism_to_json(m)
-    assert data["entries"] == [["1/2", "bottom"]]
-    assert M.morphism_from_json(trop, data) == m
+    assert data == {"semiring": trop.name, "dom": 1, "cod": 2,
+                    "entries": [["1/2", "bottom"]]}
     b = M.from_entries(B, [[1, 0], [1, 1]])
-    assert M.morphism_from_json(B, M.morphism_to_json(b)) == b
+    assert M.morphism_to_json(b)["entries"] == [[1, 0], [1, 1]]
 
 
 def test_iso_family_conjugation_round_trips():
