@@ -20,66 +20,61 @@ from .harness import (
 )
 
 
-def _common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=200_000)
-    parser.add_argument("--cap", type=int, default=2)
-    parser.add_argument("--degree-cap", type=int, default=3, dest="degree_cap")
-    parser.add_argument("--format", choices=("json", "text"), default="json",
-                        dest="fmt")
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings in JSON output")
+_SEMIRING = (("--semiring",), {"required": True})
+_LIE = (("--file",), {"required": True, "dest": "lie",
+                      "help": "lie algebra JSON file or built-in name like sl2:Q"})
+_FAMILY = (
+    (("--sigma",), {"type": int, "default": 0,
+                    "help": "index into the automorphism list"}),
+    (("--random-family",), {"action": "store_true", "dest": "random_family"}),
+)
+_COMMON = (
+    (("--seed",), {"type": int, "default": 0}),
+    (("--budget",), {"type": int, "default": 200_000}),
+    (("--cap",), {"type": int, "default": 2}),
+    (("--degree-cap",), {"type": int, "default": 3, "dest": "degree_cap"}),
+    (("--format",), {"choices": ("json", "text"), "default": "json", "dest": "fmt"}),
+    (("--out",), {"default": None}),
+    (("--timings",), {"action": "store_true",
+                      "help": "include wall-clock timings in JSON output"}),
+)
+# group -> action -> the options of that action, before the common ones
+_COMMANDS = {
+    "semiring": dict.fromkeys(("validate", "autgroups"), (_SEMIRING,)),
+    "ibn": dict.fromkeys(("classify", "agree"), (_SEMIRING,)),
+    "autmorph": {"verify": (_SEMIRING,), "extract": (_SEMIRING, *_FAMILY),
+                 "normalize": (_SEMIRING, *_FAMILY), "outgroup": (_SEMIRING,)},
+    "lie": {
+        "validate": (_LIE,),
+        "mul": (_LIE, (("--left",), {"required": True,
+                                     "help": "comma-separated basis labels, e.g. e,f"}),
+                (("--right",), {"required": True})),
+        "basis": (_LIE, (("--gens",), {"type": int, "default": 1})),
+        "lift": (_LIE, (("--map",), {"default": "chevalley", "dest": "map_name"})),
+        "units": (_LIE,),
+        "suite": (_LIE,),
+    },
+    "report": {"show": ((("path",), {}),)},
+}
 
 
-def build_parser():
+def build_parser(argv=()):
+    """The parser for ``argv``: every group, every action of the group that
+    argv names and the options of the action it names, so that help, choice
+    and missing-argument errors read as with the whole tree built."""
+    group, action = (list(argv) + [None, None])[:2]
     parser = argparse.ArgumentParser(prog="semicat")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    semiring = groups.add_parser("semiring").add_subparsers(
-        dest="action", required=True)
-    for action in ("validate", "autgroups"):
-        sub = semiring.add_parser(action)
-        sub.add_argument("--semiring", required=True)
-        _common(sub)
-
-    ibn = groups.add_parser("ibn").add_subparsers(dest="action", required=True)
-    for action in ("classify", "agree"):
-        sub = ibn.add_parser(action)
-        sub.add_argument("--semiring", required=True)
-        _common(sub)
-
-    autmorph = groups.add_parser("autmorph").add_subparsers(
-        dest="action", required=True)
-    for action in ("verify", "extract", "normalize", "outgroup"):
-        sub = autmorph.add_parser(action)
-        sub.add_argument("--semiring", required=True)
-        if action in ("extract", "normalize"):
-            sub.add_argument("--sigma", type=int, default=0,
-                             help="index into the automorphism list")
-            sub.add_argument("--random-family", action="store_true",
-                             dest="random_family")
-        _common(sub)
-
-    lie = groups.add_parser("lie").add_subparsers(dest="action", required=True)
-    for action in ("validate", "mul", "basis", "lift", "units", "suite"):
-        sub = lie.add_parser(action)
-        sub.add_argument("--file", required=True, dest="lie",
-                         help="lie algebra JSON file or built-in name like sl2:Q")
-        if action == "mul":
-            sub.add_argument("--left", required=True,
-                             help="comma-separated basis labels, e.g. e,f")
-            sub.add_argument("--right", required=True)
-        if action == "basis":
-            sub.add_argument("--gens", type=int, default=1)
-        if action == "lift":
-            sub.add_argument("--map", default="chevalley", dest="map_name")
-        _common(sub)
-
-    show = groups.add_parser("report").add_subparsers(dest="action", required=True)
-    sub = show.add_parser("show")
-    sub.add_argument("path")
-    _common(sub)
+    for name, actions in _COMMANDS.items():
+        sub = groups.add_parser(name)
+        if name != group:
+            continue
+        leaves = sub.add_subparsers(dest="action", required=True)
+        for leaf_name, options in actions.items():
+            leaf = leaves.add_parser(leaf_name)
+            if leaf_name == action:
+                for flags, kwargs in options + _COMMON:
+                    leaf.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -125,8 +120,8 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         report = _dispatch(args)
     except SemicatError as exc:

@@ -936,49 +936,51 @@ class PbwElement:
 
 
 def multiply_by_word_rewriting(u, v):
-    """Independent cross-check route for products.
+    """Independent cross-check route for products, on words of letter indices.
 
-    Flattens monomial pairs to generator words and rewrites whole words: the
-    rightmost out-of-order adjacent pair first through the bracket, then (in
-    restricted mode) the rightmost run of p equal letters through the stored
-    p-image.  It keeps its own memo on words and shares with the
-    exponent-level engine only the explicit-stack loop ``_memoized``.
+    Rewrites the rightmost descent j i first, to i j plus [x_j, x_i], and in
+    restricted mode p equal letters to their stored p-image.  The rightmost
+    descent of a word P + S starts a segment S, a letter and then a normal
+    word, and P is not touched until S is normal; so NF(P + S) is the sum of
+    c * NF(P + m) over the terms c * m of NF(S), and the memo is keyed on
+    segments, not whole words.  A p-run at the front of a sorted segment may
+    be traded before a descent at its left boundary: both sides are equal in
+    u(L).  Shares with the engine only ``_memoized``, ``_accumulate``,
+    ``_exponents`` and ``word_of``.
     """
     env = u.envelope
     K = env.ring
     lie = env.lie
     restricted = env.restricted
-    memo = {}
+    memo = {}  # segment -> {normal word: coefficient}
 
-    def rewrite(word):
-        pieces = None
-        for t in range(len(word) - 2, -1, -1):
-            if word[t] > word[t + 1]:
-                j, i = word[t], word[t + 1]
-                pieces = [(None, word[:t] + (i, j) + word[t + 2:])]
-                pieces += [(c, word[:t] + (k,) + word[t + 2:])
-                           for k, c in lie.bracket_basis(j, i).items()]
-                break
-        if restricted is not None and pieces is None:
-            p = restricted.p
-            for t in range(len(word) - p, -1, -1):
-                if len(set(word[t:t + p])) == 1:
-                    pieces = [(c, word[:t] + (k,) + word[t + p:])
-                              for k, c in restricted.image(word[t]).items()]
-                    break
-        if pieces is None:
-            return {_exponents(lie.dim, word): K.one}
+    def rewrite(segment):
+        j, tail = segment[0], segment[1:]
         out = {}
-        for c, piece in pieces:
-            _accumulate(K, out, (yield piece).items(), c)
+        if tail and j > tail[0]:
+            i, tail = tail[0], tail[1:]
+            for m, c in (yield (j,) + tail).items():
+                _accumulate(K, out, (yield (i,) + m).items(), c)
+            pieces = lie.bracket_basis(j, i)
+        elif restricted is not None and segment[:restricted.p] == (j,) * restricted.p:
+            tail = segment[restricted.p:]
+            pieces = restricted.image(j)
+        else:
+            return {segment: K.one}
+        for k, c in pieces.items():
+            _accumulate(K, out, (yield (k,) + tail).items(), c)
         return out
 
     total = {}
     for ea, ca in u.coeffs.items():
         for eb, cb in v.coeffs.items():
-            word = env.word_of(ea) + env.word_of(eb)
-            nf = _memoized(memo, word, rewrite)
-            _accumulate(K, total, nf.items(), K.mul(ca, cb))
+            nf = {env.word_of(eb): K.mul(ca, cb)}
+            for letter in reversed(env.word_of(ea)):
+                step = {}
+                for m, c in nf.items():
+                    _accumulate(K, step, _memoized(memo, (letter,) + m, rewrite).items(), c)
+                nf = step
+            _accumulate(K, total, ((_exponents(lie.dim, m), c) for m, c in nf.items()))
     return env.element(total)
 
 

@@ -124,6 +124,58 @@ def monomials_up_to(envelope, degree):
     return out
 
 
+def whole_word_rewriting(u, v):
+    """Independent cross-check route for products.
+
+    Flattens monomial pairs to generator words and rewrites whole words: the
+    rightmost out-of-order adjacent pair first through the bracket, then (in
+    restricted mode) the rightmost run of p equal letters through the stored
+    p-image.  It keeps its own memo on words and shares with the
+    exponent-level engine only the explicit-stack loop ``_memoized``.
+
+    The oracle of ``lie.multiply_by_word_rewriting``, which memoizes the
+    rewritten segment instead of the whole word.
+    """
+    from semicat.lie import _accumulate, _exponents, _memoized
+
+    env = u.envelope
+    K = env.ring
+    lie = env.lie
+    restricted = env.restricted
+    memo = {}
+
+    def rewrite(word):
+        pieces = None
+        for t in range(len(word) - 2, -1, -1):
+            if word[t] > word[t + 1]:
+                j, i = word[t], word[t + 1]
+                pieces = [(None, word[:t] + (i, j) + word[t + 2:])]
+                pieces += [(c, word[:t] + (k,) + word[t + 2:])
+                           for k, c in lie.bracket_basis(j, i).items()]
+                break
+        if restricted is not None and pieces is None:
+            p = restricted.p
+            for t in range(len(word) - p, -1, -1):
+                if len(set(word[t:t + p])) == 1:
+                    pieces = [(c, word[:t] + (k,) + word[t + p:])
+                              for k, c in restricted.image(word[t]).items()]
+                    break
+        if pieces is None:
+            return {_exponents(lie.dim, word): K.one}
+        out = {}
+        for c, piece in pieces:
+            _accumulate(K, out, (yield piece).items(), c)
+        return out
+
+    total = {}
+    for ea, ca in u.coeffs.items():
+        for eb, cb in v.coeffs.items():
+            word = env.word_of(ea) + env.word_of(eb)
+            nf = _memoized(memo, word, rewrite)
+            _accumulate(K, total, nf.items(), K.mul(ca, cb))
+    return env.element(total)
+
+
 def brute_force_inverse(semiring, entries):
     """Two-sided inverse of a square matrix by a pair scan over every
     candidate matrix with a plain triple-loop product, or None."""

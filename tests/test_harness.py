@@ -301,6 +301,34 @@ def test_cli_reports_identical_across_hash_seeds(tmp_path):
         assert outputs[0] == outputs[1]
 
 
+def test_cli_parser_keeps_help_and_usage_errors(capsys):
+    # only the leaf that argv names gets its options built
+    common = ["--seed SEED", "--budget BUDGET", "--cap CAP", "--degree-cap DEGREE_CAP",
+              "--format {json,text}", "--out OUT", "--timings"]
+    for argv, listed in (
+            (["-h"], ["usage: semicat [-h] {semiring,ibn,autmorph,lie,report} ..."]),
+            (["lie", "-h"], ["usage: semicat lie [-h] {validate,mul,basis,lift,units,suite} ..."]),
+            (["lie", "mul", "-h"], ["usage: semicat lie mul [-h] --file LIE --left LEFT --right RIGHT",
+                                    "lie algebra JSON file or built-in name like sl2:Q",
+                                    "comma-separated basis labels, e.g. e,f"] + common),
+            (["autmorph", "extract", "-h"], ["usage: semicat autmorph extract [-h] --semiring SEMIRING",
+                                             "--sigma SIGMA", "--random-family"] + common)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(line in out for line in listed), out
+    for argv, message in ((["foo"], "argument group: invalid choice: 'foo'"),
+                          (["lie", "foo"], "argument action: invalid choice: 'foo'"),
+                          (["lie", "mul", "--file", "sl2:Q"], "required: --left, --right"),
+                          (["semiring", "validate", "--semiring", "gf:4", "--left", "e"],
+                           "unrecognized arguments: --left e")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_cli_report_show_round_trip(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert cli.main([
@@ -376,6 +404,16 @@ def test_cli_lie_mul_witness_over_q(capsys):
     record = json.loads(capsys.readouterr().out)["records"][0]
     assert record["name"] == "normal-form" and record["status"] == "pass"
     assert record["witness"] == "-2*h + 2*hh + -8*fe + 4*fhe + 1*ffee"
+
+
+def test_cli_lie_mul_high_degree_ends_quickly(capsys):
+    # e^33 * f^33 has 1089 inversions; the word oracle memoizes segments
+    start = time.perf_counter()
+    assert cli.main(["lie", "mul", "--file", "sl2:zmod:7",
+                     "--left", ",".join(["e"] * 33), "--right", ",".join(["f"] * 33)]) == 0
+    assert time.perf_counter() - start < 3.0
+    record = json.loads(capsys.readouterr().out)["records"][0]
+    assert record["name"] == "normal-form" and record["status"] == "pass"
 
 
 def test_cli_lie_coefficient_specs_are_bounded(capsys):

@@ -23,7 +23,7 @@ from semicat.errors import (
     UnsupportedCarrier,
 )
 from semicat._galois import factor_prime_power
-from support import monomials_up_to
+from support import monomials_up_to, whole_word_rewriting
 
 Q = L.RationalField()
 Z = L.IntegerRing()
@@ -295,10 +295,10 @@ ORACLE_ENVELOPES = (
 )
 
 
-def _word_by_oracle(env, word):
+def _word_by_oracle(env, word, multiply=L.multiply_by_word_rewriting):
     out = env.one()
     for letter in word:
-        out = L.multiply_by_word_rewriting(out, env.generator(letter))
+        out = multiply(out, env.generator(letter))
     return out
 
 
@@ -315,6 +315,41 @@ def test_products_agree_with_word_oracle(data):
     assert u * v == L.multiply_by_word_rewriting(u, v)
     whole = env.element(env.normal_form_word(tuple(left + right)))
     assert whole == _word_by_oracle(env, left + right)
+
+
+@pytest.mark.parametrize("env", ORACLE_ENVELOPES, ids=(
+    "sl2-Q", "sl2-Z", "sl2-F7", "heisenberg-Z", "restricted-sl2-F5", "half-sl2-Q"))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_segment_memo_agrees_with_whole_word_rewriting(env, data):
+    letters = st.integers(0, env.lie.dim - 1)
+    left = data.draw(st.lists(letters, max_size=8))
+    right = data.draw(st.lists(letters, max_size=8 - len(left)))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    u = _word_by_oracle(env, left, whole_word_rewriting).scale(env.ring.sample_element(rng))
+    v = _word_by_oracle(env, right, whole_word_rewriting) + env.scalar(
+        env.ring.sample_element(rng))
+    assert L.multiply_by_word_rewriting(u, v) == whole_word_rewriting(u, v)
+    a, b = env.sample_element(rng, max_degree=4, terms=3), env.sample_element(rng, 4, 3)
+    assert L.multiply_by_word_rewriting(a, b) == whole_word_rewriting(a, b)
+
+
+def test_word_oracle_calls_no_engine_method(monkeypatch):
+    restricted = next(env for env in ORACLE_ENVELOPES if env.restricted)
+    cases = []
+    for env in (sl2_env(Q), restricted):
+        f, h, e = env.generator(0), env.generator(1), env.generator(2)
+        for u, v in ((e * e * h, f * f * f + h), (e * e * e * e, f * f * f * f * h),
+                     (h * h * h, h * h * e)):  # h^5 = h in the restricted envelope
+            cases.append((u, v, u * v))
+
+    def engine(*args):
+        raise AssertionError("the word oracle called the engine")
+
+    for name in ("_times", "_straighten", "_left_multiply", "normal_form_word", "multiply"):
+        monkeypatch.setattr(L.UniversalEnvelope, name, engine)
+    for u, v, product in cases:
+        assert L.multiply_by_word_rewriting(u, v) == product
 
 
 def test_product_folds_only_the_left_letters():
