@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 
 from .errors import (
     CapMismatch,
@@ -20,6 +19,7 @@ from .errors import (
     InjectionsNotFixed,
     NonInvertibleStack,
     NotAnAutomorphism,
+    Record,
     SearchCapExceeded,
     SemicatError,
     SemiringMismatch,
@@ -56,8 +56,7 @@ DEFAULT_SAMPLES = 200
 # data carried by semi-inner automorphisms
 
 
-@dataclass
-class SemiInnerData:
+class SemiInnerData(Record):
     """A carrier automorphism plus one invertible matrix per rank.
 
     The induced action on a morphism A: n -> m is T_n^-1 ; sigma(A) ; T_m with
@@ -65,10 +64,13 @@ class SemiInnerData:
     identity, so an empty family is the plain entrywise action.
     """
 
-    semiring: object
-    sigma: object
-    family: dict = field(default_factory=dict)
-    cap: int = 2
+    __slots__ = ("semiring", "sigma", "family", "cap")
+
+    def __init__(self, semiring, sigma, family=None, cap=2):
+        self.semiring = semiring
+        self.sigma = sigma
+        self.family = {} if family is None else family
+        self.cap = cap
 
     def component(self, n):
         got = self.family.get(n)
@@ -513,13 +515,16 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
     return witness if ok else None
 
 
-@dataclass
-class ReductionReport:
-    rank: int
-    monoid_fixed: bool
-    codiagonal_fixed: bool
-    unit_rows_fixed: bool
-    regime: str
+class ReductionReport(Record):
+    __slots__ = (
+        "rank", "monoid_fixed", "codiagonal_fixed", "unit_rows_fixed", "regime")
+
+    def __init__(self, rank, monoid_fixed, codiagonal_fixed, unit_rows_fixed, regime):
+        self.rank = rank
+        self.monoid_fixed = monoid_fixed
+        self.codiagonal_fixed = codiagonal_fixed
+        self.unit_rows_fixed = unit_rows_fixed
+        self.regime = regime
 
     @property
     def left_side(self):
@@ -580,18 +585,25 @@ def reduction_precondition_check(functor, n, budget=DEFAULT_BUDGET, seed=0,
 # the outer-group experiment
 
 
-@dataclass
-class OuterGroupReport:
-    semiring: str
-    cap: int
-    aut_order: int
-    inn_order: int
-    out_order: int
-    class_count: int  # with confirmed merges only: an upper bound when undecided
-    class_count_lower_bound: int  # if every undecided pair merged
-    classes: tuple
-    undecided: tuple
-    consistent: bool
+class OuterGroupReport(Record):
+    __slots__ = (
+        "semiring", "cap", "aut_order", "inn_order", "out_order", "class_count",
+        "class_count_lower_bound", "classes", "undecided", "consistent")
+
+    def __init__(self, semiring, cap, aut_order, inn_order, out_order, class_count,
+                 class_count_lower_bound, classes, undecided, consistent):
+        self.semiring = semiring
+        self.cap = cap
+        self.aut_order = aut_order
+        self.inn_order = inn_order
+        self.out_order = out_order
+        # with confirmed merges only: an upper bound when undecided
+        self.class_count = class_count
+        # if every undecided pair merged
+        self.class_count_lower_bound = class_count_lower_bound
+        self.classes = classes
+        self.undecided = undecided
+        self.consistent = consistent
 
     def to_json(self):
         return {

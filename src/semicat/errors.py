@@ -1,10 +1,53 @@
-"""Exception types and the check record shared across the library."""
-
-from dataclasses import dataclass, field
+"""Exception types and the record classes shared across the library."""
 
 
-@dataclass
-class Check:
+class Record:
+    """Base of the library's plain record classes.
+
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    sets them in its own ``__init__``.  Two records of the same class are
+    equal when their fields are, and show as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _fields(cls):
+        return tuple(
+            name for klass in reversed(cls.__mro__)
+            for name in klass.__dict__.get("__slots__", ()))
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields(), self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A read-only, hashable record; ``__init__`` sets its fields through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a read-only record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a read-only record")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Check(Record):
     """One regime-labelled claim: what was checked, how, and the outcome.
 
     ``checked`` counts the cases examined and stays out of the JSON, as does
@@ -12,13 +55,17 @@ class Check:
     regime, the only one it affects.
     """
 
-    name: str
-    regime: str
-    status: str
-    witness: str = None
-    checked: int = 0
-    seed: int = None
-    timing_ms: float = None
+    __slots__ = ("name", "regime", "status", "witness", "checked", "seed", "timing_ms")
+
+    def __init__(self, name, regime, status, witness=None, checked=0, seed=None,
+                 timing_ms=None):
+        self.name = name
+        self.regime = regime
+        self.status = status
+        self.witness = witness
+        self.checked = checked
+        self.seed = seed
+        self.timing_ms = timing_ms
 
     @property
     def passed(self):
@@ -38,12 +85,14 @@ class Check:
         return data
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """The checks made on one subject."""
 
-    subject: str
-    records: list = field(default_factory=list)
+    __slots__ = ("subject", "records")
+
+    def __init__(self, subject, records=None):
+        self.subject = subject
+        self.records = [] if records is None else records
 
     @property
     def passed(self):

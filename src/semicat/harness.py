@@ -14,7 +14,6 @@ import math
 import random
 import re
 import time
-from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .autfunctors import (
@@ -24,7 +23,14 @@ from .autfunctors import (
     skew_inner_functor,
     verify_functor,
 )
-from .errors import Check, ConfigError, ParseError, SearchCapExceeded, SemicatError
+from .errors import (
+    Check,
+    ConfigError,
+    ParseError,
+    Record,
+    SearchCapExceeded,
+    SemicatError,
+)
 from .ibn import classify_type, left_right_ibn_agree
 from .lie import (
     UniversalEnvelope,
@@ -70,15 +76,18 @@ MAX_CAP = 8
 MAX_DEGREE_CAP = 64
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str
-    semiring: str = None
-    lie: str = None
-    cap: int = 2
-    degree_cap: int = 3
-    seed: int = 0
-    budget: int = 200_000
+class ExperimentConfig(Record):
+    __slots__ = ("kind", "semiring", "lie", "cap", "degree_cap", "seed", "budget")
+
+    def __init__(self, kind, semiring=None, lie=None, cap=2, degree_cap=3, seed=0,
+                 budget=200_000):
+        self.kind = kind
+        self.semiring = semiring
+        self.lie = lie
+        self.cap = cap
+        self.degree_cap = degree_cap
+        self.seed = seed
+        self.budget = budget
 
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -109,11 +118,13 @@ class ExperimentConfig:
         }
 
 
-@dataclass
-class Report:
-    experiment: dict
-    records: list = field(default_factory=list)
-    version: str = __version__
+class Report(Record):
+    __slots__ = ("experiment", "records", "version")
+
+    def __init__(self, experiment, records=None, version=__version__):
+        self.experiment = experiment
+        self.records = [] if records is None else records
+        self.version = version
 
     @property
     def verdict(self):
@@ -201,9 +212,10 @@ class _Recorder:
     def extend(self, prefix, checks):
         """Record checks made elsewhere, as ``prefix:name``, with this run's seed."""
         for c in checks:
-            self.records.append(replace(
-                c, name=f"{prefix}:{c.name}",
-                seed=self.seed if c.regime == "sampled" else None))
+            self.records.append(Check(
+                f"{prefix}:{c.name}", c.regime, c.status, c.witness, c.checked,
+                seed=self.seed if c.regime == "sampled" else None,
+                timing_ms=c.timing_ms))
 
 
 def run_experiment(config):

@@ -11,26 +11,29 @@ non-trivial types actually occur.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import SearchCapExceeded, UnsupportedCarrier
+from .errors import Record, SearchCapExceeded, UnsupportedCarrier
 from .matcat import _identity_entries, _mat_mul, from_entries, identity
 from .semirings import opposite_semiring
 
 DEFAULT_PAIR_CAP = 50_000_000
 
 
-@dataclass
-class TypeClassification:
+class TypeClassification(Record):
     """Either IBN up to the scanned cap, or the first witnessed rank collapse."""
 
-    kind: str  # "ibn" | "type"
-    cap: int
-    n: int = 0
-    h: int = 0
-    witness: tuple = None  # (A, B) with A;B = 1 and B;A = 1
-    refuted: tuple = ()  # (n, h) pairs checked (and failed) before success
-    regime: str = "exhaustive"  # "exhaustive" | "cardinality" | "declared"
+    __slots__ = ("kind", "cap", "n", "h", "witness", "refuted", "regime")
+
+    def __init__(self, kind, cap, n=0, h=0, witness=None, refuted=(),
+                 regime="exhaustive"):
+        self.kind = kind  # "ibn" | "type"
+        self.cap = cap
+        self.n = n
+        self.h = h
+        self.witness = witness  # (A, B) with A;B = 1 and B;A = 1
+        # (n, h) pairs searched (and failed) before success; none by cardinality
+        self.refuted = refuted
+        self.regime = regime  # "exhaustive" | "cardinality" | "declared"
 
     def to_json(self):
         data = {"kind": self.kind, "cap": self.cap, "regime": self.regime}
@@ -108,8 +111,10 @@ def classify_type(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):
             return TypeClassification(kind="ibn", cap=cap, regime="declared")
         raise UnsupportedCarrier(
             f"{R.name} has neither tables nor a declared classification")
+    if shortcut and R.size > 1:
+        # every (n, n+h) pair is refuted by cardinality, without a search
+        return TypeClassification(kind="ibn", cap=cap, regime="cardinality")
     refuted = []
-    regime = "exhaustive" if (not shortcut or R.size == 1) else "cardinality"
     for n in range(1, cap):
         for h in range(1, cap - n + 1):
             witness = free_iso_witness(R, n, n + h, search_cap, shortcut)
@@ -119,16 +124,17 @@ def classify_type(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):
                     raise AssertionError("witness failed its own re-check")
                 return TypeClassification(
                     kind="type", cap=cap, n=n, h=h, witness=witness,
-                    refuted=tuple(refuted), regime=regime)
+                    refuted=tuple(refuted))
             refuted.append((n, h))
-    return TypeClassification(
-        kind="ibn", cap=cap, refuted=tuple(refuted), regime=regime)
+    return TypeClassification(kind="ibn", cap=cap, refuted=tuple(refuted))
 
 
-@dataclass
-class LeftRightReport:
-    left: TypeClassification
-    right: TypeClassification
+class LeftRightReport(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
 
     @property
     def agree(self):

@@ -19,7 +19,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._galois import factor_prime_power, gf_tables
@@ -28,6 +27,7 @@ from .errors import (
     AxiomViolation,
     Check,
     DegreeCapExceeded,
+    FrozenRecord,
     JacobiViolation,
     NotAnAutomorphism,
     NotBracketPreserving,
@@ -578,12 +578,14 @@ def lie_from_file(path):
 # restricted structures
 
 
-@dataclass(frozen=True)
-class RestrictedStructure:
+class RestrictedStructure(FrozenRecord):
     """p-power images of the basis elements, as vectors in the algebra."""
 
-    p: int
-    images: tuple
+    __slots__ = ("p", "images")
+
+    def __init__(self, p, images):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "images", images)
 
     def image(self, i):
         return dict(self.images[i])
@@ -1005,12 +1007,14 @@ def is_unit(u):
 # free module bases
 
 
-@dataclass(frozen=True)
-class ModuleBasisVector:
+class ModuleBasisVector(FrozenRecord):
     """One basis monomial of a free module: a generator with a PBW word."""
 
-    generator: str
-    exponents: tuple
+    __slots__ = ("generator", "exponents")
+
+    def __init__(self, generator, exponents):
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def degree(self):
@@ -1316,12 +1320,15 @@ def hat_sigma_conjugate(sigma, nu, rng=None, linearity_samples=0):
     return out
 
 
-@dataclass
 class CyclicUnitsReport(VerificationReport):
     """The unit checks on a truncated envelope, with the scalar units found."""
 
-    unit_count: int = 0
-    units: list = field(default_factory=list)
+    __slots__ = ("unit_count", "units")
+
+    def __init__(self, subject, records=None, unit_count=0, units=None):
+        super().__init__(subject, records)
+        self.unit_count = unit_count
+        self.units = [] if units is None else units
 
 
 def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -19,6 +18,7 @@ from .errors import (
     AxiomViolation,
     IndexOutOfRange,
     ParseError,
+    Record,
     SizeLimitExceeded,
     UnsupportedCarrier,
 )
@@ -615,14 +615,16 @@ def is_semiring_automorphism(semiring, perm):
     return True
 
 
-@dataclass
-class AutomorphismGroups:
+class AutomorphismGroups(Record):
     """Aut, Inn, outer coset representatives, and the Aut search's steps."""
 
-    aut: list = field(default_factory=list)
-    inn: list = field(default_factory=list)
-    out_reps: list = field(default_factory=list)
-    steps: int = 0
+    __slots__ = ("aut", "inn", "out_reps", "steps")
+
+    def __init__(self, aut=None, inn=None, out_reps=None, steps=0):
+        self.aut = [] if aut is None else aut
+        self.inn = [] if inn is None else inn
+        self.out_reps = [] if out_reps is None else out_reps
+        self.steps = steps
 
     @property
     def aut_order(self):

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 import semicat
 from semicat import cli
 from semicat import semirings as S
-from semicat.errors import Check, ConfigError
+from semicat.errors import Check, ConfigError, VerificationReport
 from semicat.harness import (
     ExperimentConfig,
     Report,
+    _Recorder,
     emit_report,
     load_lie,
     report_from_json,
@@ -458,6 +459,94 @@ def test_plain_argv_leaves_argparse_unimported(tmp_path):
         env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["0", "2", "True"]
+
+
+def _benchmark_argvs(tmp_path):
+    """The argv of every operation of the benchmark workloads, at seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.write_inputs(str(tmp_path))
+    return [op["argv"] for name in workloads.WORKLOADS
+            for op in workloads.operations(name, 1, str(tmp_path)) if "argv" in op]
+
+
+def test_cli_runs_without_dataclasses_or_inspect(tmp_path):
+    # the record classes are written out by hand: neither the import nor any
+    # benchmark argv loads dataclasses or the modules it pulls in
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+
+        def loaded():
+            return [m for m in ("dataclasses", "inspect", "ast", "dis")
+                    if m in sys.modules]
+
+        from semicat import cli
+        if loaded():
+            sys.exit(f"import semicat.cli imported {loaded()}")
+        argvs = json.loads(sys.argv[1])
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    cli.main(argv)
+                except SystemExit:
+                    pass
+            if loaded():
+                sys.exit(f"{argv} imported {loaded()}")
+        print(len(argvs))
+    """)
+    argvs = _benchmark_argvs(tmp_path)
+    src = str(Path(semicat.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-s", "-S", "-c", script, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str(len(argvs))]
+
+
+def test_records_never_share_a_list():
+    first, second = VerificationReport("x"), VerificationReport("x")
+    first.records.append(Check("c", "exhaustive", "pass"))
+    assert second.records == [] and first.records is not second.records
+    assert Report({}).records is not Report({}).records
+    one, two = S.AutomorphismGroups(), S.AutomorphismGroups()
+    for name in ("aut", "inn", "out_reps"):
+        assert getattr(one, name) == [] and getattr(one, name) is not getattr(two, name)
+
+
+def test_recorder_extend_renames_and_keeps_the_counts():
+    rec = _Recorder(seed=7)
+    sampled = Check("law", "sampled", "fail", witness="w", checked=12, seed=99,
+                    timing_ms=1.5)
+    swept = Check("sweep", "exhaustive", "pass", checked=30, seed=99, timing_ms=0.25)
+    rec.extend("verify", [sampled, swept])
+    assert rec.records == [
+        Check("verify:law", "sampled", "fail", "w", 12, seed=7, timing_ms=1.5),
+        Check("verify:sweep", "exhaustive", "pass", None, 30, seed=None,
+              timing_ms=0.25),
+    ]
+    # the checks recorded elsewhere are left as they were
+    assert (sampled.name, sampled.seed, swept.name, swept.seed) == (
+        "law", 99, "sweep", 99)
+
+
+def test_verify_report_survives_a_json_round_trip():
+    report = cli._dispatch(cli._parse_plain(["autmorph", "verify", "--semiring", "gf:3"]))
+    assert report.records and all(r.checked > 0 for r in report.records)
+    for include_timing in (False, True):
+        back = report_from_json(emit_report(report, include_timing=include_timing))
+        # the JSON carries every field but the case count, and the timings
+        # only when asked for
+        assert back == Report(
+            report.experiment,
+            [Check(r.name, r.regime, r.status, r.witness, seed=r.seed,
+                   timing_ms=r.timing_ms if include_timing else None)
+             for r in report.records],
+            report.version)
+        assert emit_report(back) == emit_report(report)
 
 
 def test_cli_report_show_round_trip(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import signal
+import time
+
 import pytest
 
 from semicat import ibn
@@ -49,6 +52,27 @@ def test_classify_boolean_exhaustive():
 def test_classify_cardinality_shortcut():
     cls = ibn.classify_type(S.zmod_semiring(2), 4)
     assert cls.kind == "ibn" and cls.regime == "cardinality"
+
+
+def test_classify_cardinality_answers_without_walking_the_pairs():
+    # the cardinality argument refutes every pair at once, so a huge cap
+    # costs nothing and no pair is recorded as searched; a walk over the
+    # 5 * 10**11 pairs is cut short by the alarm instead of filling memory
+    def cut_short(signum, frame):
+        raise TimeoutError("classify_type walks the pairs")
+
+    previous = signal.signal(signal.SIGALRM, cut_short)
+    signal.setitimer(signal.ITIMER_REAL, 0.2)
+    try:
+        start = time.perf_counter()
+        cls = ibn.classify_type(S.zmod_semiring(4), 10**6)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 0.1
+    assert (cls.kind, cls.cap, cls.regime, cls.refuted) == (
+        "ibn", 10**6, "cardinality", ())
 
 
 def test_shortcut_and_search_agree():

@@ -544,6 +544,30 @@ def test_module_element_action():
 # restricted structures
 
 
+def test_restricted_structures_and_basis_vectors_are_read_only():
+    rst = L.RestrictedStructure(p=2, images=({}, {}))
+    vec = L.ModuleBasisVector(generator="x1", exponents=(1, 0))
+    for record, field in ((rst, "p"), (rst, "images"), (vec, "generator"),
+                          (vec, "exponents"), (vec, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert (rst.p, rst.images) == (2, ({}, {}))
+    assert (vec.generator, vec.exponents) == ("x1", (1, 0))
+
+
+def test_equal_module_basis_vectors_hash_equal():
+    a = L.ModuleBasisVector("x1", (1, 0, 1))
+    b = L.ModuleBasisVector(generator="x1", exponents=(1, 0, 1))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != L.ModuleBasisVector("x2", (1, 0, 1))
+    assert a != L.ModuleBasisVector("x1", (0, 1, 1))
+    basis = L.free_module_basis(L.sl2(Q), ("x1", "x2"), 2)
+    assert len(set(basis)) == len(basis) == 20
+    assert {v: v.degree for v in basis}[b] == 2
+
+
 def test_verify_restricted_abelian_f2():
     lie = L.abelian(F2, 2)
     rst = L.RestrictedStructure(p=2, images=({}, {}))
