@@ -413,6 +413,22 @@ def _run_lie_suite(config, rec):
 # bespoke CLI flows that do not map onto one of the six experiment kinds
 
 
+def check_recovered_twist(recovered, sigma, inn):
+    """Witness text that the twist recovered from a semi-inner functor is sigma.
+
+    The functor determines its twist only modulo Inn(R): a family unit that
+    ``normalize_injections`` keeps conjugates it, so sigma^-1 followed by
+    recovered has only to be one of the inner automorphisms ``inn``.  Raises
+    SemicatError otherwise.
+    """
+    if recovered.perm == sigma.perm:
+        return f"recovered {recovered!r}"
+    difference = sigma.inverted().then(recovered).perm
+    if not any(inner.perm == difference for inner in inn):
+        raise SemicatError(f"recovered {recovered!r} instead of {sigma!r}")
+    return f"recovered {recovered!r}, {sigma!r} modulo an inner automorphism"
+
+
 def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
     """extract / normalize round-trip flows on constructed functors."""
     from .autfunctors import extract_sigma, normalize_injections
@@ -436,10 +452,7 @@ def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
             normalized, _ = normalize_injections(functor)
             recovered = extract_sigma(
                 normalized, budget=config.budget, seed=config.seed)
-            if recovered.perm != sigma.perm:
-                raise SemicatError(
-                    f"recovered {recovered!r} instead of {sigma!r}")
-            return f"recovered {recovered!r}"
+            return check_recovered_twist(recovered, sigma, groups.inn)
 
         rec.run("extract-round-trip", "exhaustive", body)
     elif action == "normalize":

@@ -11,9 +11,10 @@ non-trivial types actually occur.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import Record, SearchCapExceeded, UnsupportedCarrier
-from .matcat import _identity_entries, _mat_mul, from_entries, identity
+from .matcat import _mat_mul, from_entries, identity
 from .semirings import opposite_semiring
 
 DEFAULT_PAIR_CAP = 50_000_000
@@ -48,12 +49,16 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
     With ``shortcut`` enabled, finite carriers of size > 1 refute n != m by
     cardinality without searching.  The search itself is exhaustive and
     column-separable: A;B = I_n holds exactly when column t of B solves
-    A b_t = e_t, so for each A (in column-major odometer order) the |R|^m
-    column vectors are sorted into the columns they solve, and B;A = I_m is
-    tested only on the product of those solution lists, in odometer order.
-    The first witness is the one a scan over every (A, B) pair would find.
-    ``search_cap`` caps the steps: one per column vector tried and one per
-    B;A check.  Going over it raises SearchCapExceeded.
+    A b_t = e_t, and B;A = I_m exactly when row j of B solves u A = e_j.  For
+    each A (in column-major odometer order) the solutions of both are the
+    ANDs of bitmasks: for each vector r, the vectors v with r.v = c, made once
+    per r.  When some row has no solution no B exists for this A; otherwise
+    the product of the column solution lists is walked in odometer order and
+    the first B whose rows all solve is the witness.  That is the first
+    witness a scan over every (A, B) pair would find.  ``search_cap`` caps the
+    steps: one per column vector tried and one per B;A check a walk of the
+    whole product would make, whether or not the row masks spare it.  Going
+    over it raises SearchCapExceeded.
     """
     if n < 1 or m < 1:
         raise UnsupportedCarrier("witness search needs positive ranks")
@@ -69,28 +74,95 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
         # |R|^n elements in the rank-n free semimodule; unequal sizes cannot
         # be isomorphic.
         return None
-    vectors = list(itertools.product(R.elements(), repeat=m))
-    by_column = tuple(zip(*vectors))  # m x |R|^m, column k is vectors[k]
-    units, target = _identity_entries(R, n), _identity_entries(R, m)
+    columns, rows = _witness_masks(R, n, m)
     steps = 0
     for a in _column_major_matrices(R, n, m):
-        steps += len(vectors)
+        steps += len(columns.vectors)
         if steps > search_cap:
             raise SearchCapExceeded(f"the witness search exceeds its cap of {search_cap} steps")
-        images = tuple(zip(*_mat_mul(R, a, by_column, len(vectors))))
-        # one vector solves several columns when 0 = 1
-        solutions = [[v for v, image in zip(vectors, images) if image == e] for e in units]
-        for columns in itertools.product(*solutions):
+        solutions = [columns.vectors_of(columns.solve(a, t)) for t in range(n)]
+        count = math.prod(map(len, solutions))
+        if not count:
+            continue
+        a_t = tuple(zip(*a))
+        admissible = [rows.solve(a_t, j) for j in range(m)]
+        if not all(admissible):
+            # every B;A check on this A would fail
+            steps += count
+            if steps > search_cap:
+                raise SearchCapExceeded(f"the witness search exceeds its cap of {search_cap} steps")
+            continue
+        for cols in itertools.product(*solutions):
             steps += 1
             if steps > search_cap:
                 raise SearchCapExceeded(f"the witness search exceeds its cap of {search_cap} steps")
-            b = tuple(zip(*columns))
-            if _mat_mul(R, b, a, m) == target:
+            b = tuple(zip(*cols))
+            if all(mask >> rows.index[u] & 1 for mask, u in zip(admissible, b)):
                 return (
                     from_entries(R, a, dom=n, cod=m),
                     from_entries(R, b, dom=m, cod=n),
                 )
     return None
+
+
+def _witness_masks(R, n, m):
+    """Masks for the two halves of a witness (A: n x m, B: m x n).
+
+    The first solves A b = e_t for the columns b of B, one equation a_i . b
+    per row a_i of A; the second solves u A = e_j for the rows u of B, one
+    equation u . a^t per column a^t of A, with u on the left.
+    """
+    return _DotMasks(R, m), _DotMasks(R, n, vector_left=True)
+
+
+class _DotMasks:
+    """For each vector r in R^k, the bitmask (bit i for ``vectors[i]``) of
+    the v in R^k with r . v = c, one mask per value c; made on first use.
+    With ``vector_left`` the product is v . r instead, which differs on a
+    noncommutative carrier."""
+
+    def __init__(self, R, k, vector_left=False):
+        self.R = R
+        self.vectors = list(itertools.product(R.elements(), repeat=k))
+        self.index = {v: i for i, v in enumerate(self.vectors)}
+        self.vector_left = vector_left
+        self._by_column = tuple(zip(*self.vectors))
+        self._masks = {}
+
+    def masks(self, r):
+        got = self._masks.get(r)
+        if got is None:
+            if self.vector_left:
+                images = [row[0] for row in _mat_mul(
+                    self.R, self.vectors, tuple((x,) for x in r), 1)]
+            else:
+                images = _mat_mul(
+                    self.R, (r,), self._by_column, len(self.vectors))[0]
+            got = {}
+            for i, image in enumerate(images):
+                got[image] = got.get(image, 0) | 1 << i
+            self._masks[r] = got
+        return got
+
+    def solve(self, lines, t):
+        """Mask of the v that solve the equation of each lines[i] with the
+        right-hand side 1 at i == t and 0 elsewhere."""
+        one, zero = self.R.one, self.R.zero
+        mask = -1
+        for i, r in enumerate(lines):
+            mask &= self.masks(r).get(one if i == t else zero, 0)
+            if not mask:
+                break
+        return mask
+
+    def vectors_of(self, mask):
+        """The vectors of a mask, in enumeration order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.vectors[low.bit_length() - 1])
+            mask ^= low
+        return out
 
 
 def _column_major_matrices(R, rows, cols):

@@ -89,7 +89,7 @@ class Morphism:
             raise DimensionMismatch(f"cannot compose {self} with {other}")
         R = self.semiring
         entries = _mat_mul(R, self.entries, other.entries, other.cod.rank)
-        return Morphism(R, self.dom, other.cod, entries)
+        return _trusted(R, self.dom, other.cod, entries)
 
     def __add__(self, other):
         if self.semiring != other.semiring:
@@ -101,11 +101,11 @@ class Morphism:
         entries = tuple(
             tuple(R.add(a, b) for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries))
-        return Morphism(R, self.dom, self.cod, entries)
+        return _trusted(R, self.dom, self.cod, entries)
 
     def map_entries(self, fn):
         """Apply a carrier map entrywise (same semiring, same shape)."""
-        return Morphism(
+        return _trusted(
             self.semiring, self.dom, self.cod,
             tuple(tuple(fn(e) for e in row) for row in self.entries))
 
@@ -138,10 +138,46 @@ class Morphism:
         return f"{self.dom}->{self.cod}{list(list(r) for r in self.entries)}"
 
 
+def _trusted(semiring, dom, cod, entries):
+    """A morphism built without re-validation, for shapes that are right by
+    construction: ``dom`` and ``cod`` are FreeObjects and ``entries`` is a
+    tuple of dom.rank tuples of length cod.rank.  ``Morphism(...)`` keeps
+    every check for all other callers."""
+    m = object.__new__(Morphism)
+    m.semiring = semiring
+    m.dom = dom
+    m.cod = cod
+    m.entries = entries
+    return m
+
+
 def _mat_mul(R, a_entries, b_entries, cod_rank):
+    """The matrix product a * b, entries mul(a_ij, b_jt) summed over j.
+
+    Carriers with Cayley tables (``add_table``/``mul_table``) are indexed
+    directly: each a_ij selects its row of the multiplication table once, and
+    the sum runs over the columns of b.  Other carriers go through
+    ``R.add``/``R.mul``.  Both keep the operand order, which matters on
+    noncommutative carriers.
+    """
+    zero = R.zero
+    add_table = getattr(R, "add_table", None)
+    if add_table is not None:
+        mul_table = R.mul_table
+        columns = list(zip(*b_entries)) if b_entries else [()] * cod_rank
+        out = []
+        for row in a_entries:
+            mul_rows = [mul_table[x] for x in row]
+            new_row = []
+            for column in columns:
+                acc = zero
+                for mul_row, y in zip(mul_rows, column):
+                    acc = add_table[acc][mul_row[y]]
+                new_row.append(acc)
+            out.append(tuple(new_row))
+        return tuple(out)
     mul = R.mul
     add = R.add
-    zero = R.zero
     m = len(b_entries)
     out = []
     for row in a_entries:
@@ -259,12 +295,14 @@ def enumerate_morphisms(semiring, n, m, dom=None, cod=None):
     elements = list(semiring.elements())
     dom = _as_object(dom if dom is not None else n)
     cod = _as_object(cod if cod is not None else m)
+    if (dom.rank, cod.rank) != (n, m):
+        raise DimensionMismatch(f"{n} x {m} morphisms cannot run {dom} -> {cod}")
     if n == 0 or m == 0:
         yield zero_morphism(semiring, dom, cod)
         return
     for flat in itertools.product(elements, repeat=n * m):
         entries = tuple(flat[i * m:(i + 1) * m] for i in range(n))
-        yield Morphism(semiring, dom, cod, entries)
+        yield _trusted(semiring, dom, cod, entries)
 
 
 def random_morphism(semiring, n, m, rng, dom=None, cod=None):
@@ -353,7 +391,11 @@ def random_invertible(semiring, n, rng, cap=DEFAULT_INVERT_CAP):
 
     Rejection sampling: random matrices are drawn until one inverts, each
     charged the |R|^n row actions of ``invert``, so at most cap // |R|^n are
-    drawn.  Raises SearchCapExceeded past the cap or on an infinite carrier.
+    inverted.  A draw that repeats a refuted matrix is neither inverted nor
+    charged, so when every candidate fits that budget only the bound of
+    ``cap`` draws in all, which keeps the time finite, can end the search
+    without a unit.  Raises SearchCapExceeded past the cap or on an infinite
+    carrier.
     """
     if not semiring.is_finite:
         raise SearchCapExceeded("drawing an invertible matrix needs a finite carrier")
@@ -361,11 +403,17 @@ def random_invertible(semiring, n, rng, cap=DEFAULT_INVERT_CAP):
     if total > cap:
         raise SearchCapExceeded(f"{total} candidate matrices exceed the cap {cap}")
     draws = cap // semiring.size ** n
-    for _ in range(draws):
+    refuted = set()
+    for _ in range(cap):
+        if len(refuted) >= draws:
+            break
         m = random_morphism(semiring, n, n, rng)
+        if m.entries in refuted:
+            continue
         inv = invert(m, cap)
         if inv is not None:
             return m, inv
+        refuted.add(m.entries)
     raise SearchCapExceeded(
         f"none of {draws} random {n}x{n} matrices inverts within the cap {cap}")
 

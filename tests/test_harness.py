@@ -17,17 +17,19 @@ from hypothesis import strategies as st
 import semicat
 from semicat import cli
 from semicat import semirings as S
-from semicat.errors import Check, ConfigError, VerificationReport
+from semicat.errors import Check, ConfigError, SemicatError, VerificationReport
 from semicat.harness import (
     ExperimentConfig,
     Report,
     _Recorder,
+    check_recovered_twist,
     emit_report,
     load_lie,
     report_from_json,
     run_experiment,
     run_lie_command,
 )
+from support import matrix_ring_f2
 
 
 def config(kind, **kw):
@@ -567,6 +569,37 @@ def test_cli_autmorph_flows(capsys):
     assert cli.main([
         "autmorph", "normalize", "--semiring", "zmod:4", "--random-family"]) == 0
     capsys.readouterr()
+
+
+def test_cli_extract_passes_modulo_inner_on_a_noncommutative_carrier(tmp_path, capsys):
+    # the family's rank-1 unit u survives normalize_injections, so the twist
+    # recovered is sigma followed by conjugation by u: sigma modulo Inn(R)
+    path = tmp_path / "m2f2.json"
+    path.write_text(json.dumps(matrix_ring_f2().to_json()))
+    for seed in (0, 2, 3):
+        assert cli.main(["autmorph", "extract", "--semiring", str(path),
+                         "--random-family", "--seed", str(seed)]) == 0
+        (record,) = json.loads(capsys.readouterr().out)["records"]
+        assert record["status"] == "pass"
+        assert record["witness"].endswith(
+            "aut[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] "
+            "modulo an inner automorphism")
+
+
+def test_recovered_twist_must_match_modulo_inner_automorphisms():
+    gf4 = S.automorphism_groups(S.galois_semiring(4))
+    identity, frobenius = gf4.aut
+    assert check_recovered_twist(identity, identity, gf4.inn) == "recovered aut[0, 1, 2, 3]"
+    assert check_recovered_twist(frobenius, frobenius, gf4.inn) == "recovered aut[0, 1, 3, 2]"
+    # Frobenius is outer: gf:4 is commutative, so Inn is trivial
+    with pytest.raises(SemicatError, match="instead of"):
+        check_recovered_twist(frobenius, identity, gf4.inn)
+    with pytest.raises(SemicatError, match="instead of"):
+        check_recovered_twist(identity, frobenius, gf4.inn)
+    m2 = S.automorphism_groups(matrix_ring_f2())
+    sigma = m2.aut[0]
+    for inner in m2.inn:
+        assert check_recovered_twist(inner, sigma, m2.inn).startswith(f"recovered {inner!r}")
 
 
 def test_cli_verify_gf4_cap3_ends_quickly(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import signal
 import time
 
@@ -6,9 +7,11 @@ import pytest
 from semicat import ibn
 from semicat import semirings as S
 from semicat.errors import SearchCapExceeded, UnsupportedCarrier
+from semicat.matcat import from_entries, identity
 from support import (
     catalog_all,
     extend_witness,
+    matrix_ring_f2,
     pair_scan_iso_witness,
     upper_triangular_boolean,
 )
@@ -98,6 +101,56 @@ def test_column_search_matches_pair_scan():
             if found is not None:
                 found = tuple(x.entries for x in found)
             assert found == pair_scan_iso_witness(semiring, n, m), (semiring.name, n, m)
+
+
+def test_column_search_matches_pair_scan_on_matrices_over_f2():
+    m2 = matrix_ring_f2()
+    for n, m in ((1, 2), (2, 1)):
+        found = ibn.free_iso_witness(m2, n, m, shortcut=False)
+        if found is not None:
+            found = tuple(x.entries for x in found)
+        assert found == pair_scan_iso_witness(m2, n, m), (n, m)
+
+
+def test_masks_solve_both_halves_of_a_witness():
+    # on finite carriers no B passes a mis-oriented B;A check that fails the
+    # right one (either would make F_n a retract of F_m and F_m one of F_n),
+    # so search results cannot show the orientation of the row masks; they
+    # are checked against Morphism products on noncommutative carriers
+    for R in (upper_triangular_boolean(), matrix_ring_f2()):
+        for n, m in ((1, 2), (2, 1)):
+            columns, rows = ibn._witness_masks(R, n, m)
+            units_n = identity(R, n).entries
+            units_m = identity(R, m).entries
+            every_a = itertools.product(R.elements(), repeat=n * m)
+            for flat in itertools.islice(every_a, 0, None, 5):
+                a = tuple(flat[i * m:(i + 1) * m] for i in range(n))
+                to_a = from_entries(R, a, dom=n, cod=m)
+                for t in range(n):
+                    expected = [v for v in columns.vectors
+                                if to_a.then(from_entries(R, [[x] for x in v])).entries
+                                == tuple((e,) for e in units_n[t])]
+                    assert columns.vectors_of(columns.solve(a, t)) == expected
+                a_t = tuple(zip(*a))
+                for j in range(m):
+                    expected = [u for u in rows.vectors
+                                if from_entries(R, [u]).then(to_a).entries == (units_m[j],)]
+                    assert rows.vectors_of(rows.solve(a_t, j)) == expected
+
+
+@pytest.mark.parametrize("semiring, n, m, cap", [
+    (S.zmod_semiring(3), 2, 3, 25_299),
+    (B, 2, 3, 560),
+    (S.zmod_semiring(3), 3, 2, 6_561),
+    (S.galois_semiring(4), 1, 2, 316),
+])
+def test_search_charges_every_check_of_the_scan(semiring, n, m, cap):
+    # the smallest caps that let these searches finish: one step per column
+    # vector tried and one per B;A check of a walk over every solution
+    # list, including the walks the row masks rule out
+    with pytest.raises(SearchCapExceeded):
+        ibn.free_iso_witness(semiring, n, m, search_cap=cap - 1, shortcut=False)
+    assert ibn.free_iso_witness(semiring, n, m, search_cap=cap, shortcut=False) is None
 
 
 def test_declared_classification_for_builtins():

@@ -16,12 +16,14 @@ from semicat.errors import (
     SemiringMismatch,
     ZeroRank,
 )
+from semicat.lie import GaloisFieldRing
 from support import (
     all_shape_morphisms,
     brute_force_inverse,
     catalog_all,
     catalog_finite,
     invertible_morphisms,
+    matrix_ring_f2,
     upper_triangular_boolean,
 )
 
@@ -234,6 +236,14 @@ def test_random_invertible_agrees_with_oracle(semiring, n, seed):
     assert _oracle_pool(semiring, n).get(m.entries) == inv.entries
 
 
+def test_random_invertible_skips_refuted_draws():
+    # only 4 of the 4,096 matrices over ut2(boolean) invert at n = 2, and the
+    # 6,250 charged draws of seed 3461 miss them when repeats are charged too
+    ut2 = upper_triangular_boolean()
+    m, inv = M.random_invertible(ut2, 2, random.Random(3461))
+    assert _oracle_pool(ut2, 2).get(m.entries) == inv.entries
+
+
 def test_random_invertible_covers_gl2_f2():
     f2 = S.zmod_semiring(2)
     rng = random.Random(3)
@@ -366,3 +376,66 @@ def test_skeleton_transport_missing_iso():
     ext = M.skeleton_transport(phi, isos)
     with pytest.raises(MissingIso):
         ext.on_morphism(M.identity(z2, 2))
+
+
+_TABLE_CARRIERS = catalog_finite() + [
+    upper_triangular_boolean(), matrix_ring_f2(), GaloisFieldRing(4)]
+
+
+@st.composite
+def _product_case(draw):
+    R = draw(st.sampled_from(_TABLE_CARRIERS))
+    n, k, m = (draw(st.integers(0, 3)) for _ in range(3))
+    entry = st.integers(0, len(R.add_table) - 1)
+    a = tuple(tuple(draw(entry) for _ in range(k)) for _ in range(n))
+    b = tuple(tuple(draw(entry) for _ in range(m)) for _ in range(k))
+    return R, a, b, m
+
+
+def _method_product(R, a, b, m):
+    out = []
+    for row in a:
+        new_row = []
+        for t in range(m):
+            acc = R.zero
+            for j in range(len(b)):
+                acc = R.add(acc, R.mul(row[j], b[j][t]))
+            new_row.append(acc)
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+@given(_product_case())
+@settings(max_examples=300, deadline=None)
+def test_table_kernel_agrees_with_the_method_loop(case):
+    # the kernel indexes the Cayley tables directly; the oracle calls
+    # R.add / R.mul, in the same operand order, once per entry
+    R, a, b, m = case
+    assert M._mat_mul(R, a, b, m) == _method_product(R, a, b, m)
+
+
+def test_internal_constructions_equal_validated_morphisms():
+    rng = random.Random(5)
+    labelled = M.FreeObject(2, "X")
+    for R in catalog_all() + [upper_triangular_boolean()]:
+        f = M.random_morphism(R, 2, 3, rng, dom=labelled)
+        g = M.random_morphism(R, 3, 1, rng)
+        h = M.random_morphism(R, 2, 3, rng, dom=labelled)
+        built = [f.then(g), f + h, f.map_entries(lambda x: x),
+                 M.zero_morphism(R, 0, 2).then(M.random_morphism(R, 2, 1, rng))]
+        if R.is_finite:
+            built += list(M.enumerate_morphisms(R, 2, 1, dom=labelled))
+            built += list(M.enumerate_morphisms(R, 0, 2))
+        for got in built:
+            assert isinstance(got.dom, M.FreeObject) and isinstance(got.cod, M.FreeObject)
+            assert type(got.entries) is tuple
+            assert all(type(row) is tuple for row in got.entries)
+            assert got == M.Morphism(R, got.dom, got.cod, got.entries)
+    with pytest.raises(DimensionMismatch):
+        M.Morphism(B, 2, 1, ((1,),))
+    with pytest.raises(DimensionMismatch):
+        M.Morphism(B, 1, 2, ((1,),))
+    with pytest.raises(DimensionMismatch):
+        M.Morphism(B, 1, 2, [[1, 0, 1]])
+    with pytest.raises(DimensionMismatch):
+        next(M.enumerate_morphisms(B, 1, 2, dom=labelled))
