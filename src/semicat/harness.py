@@ -71,7 +71,9 @@ EXPERIMENT_KINDS = (
 # samples up to the degree cap.  `autmorph verify` on gf:4 ran past 10 s at
 # cap 16, while at cap 8 every matrix flow on the built-in carriers of at most
 # 4 elements and on the infinite ones ends within 1.2 s; `lie units` on sl2:Q
-# took 22 s at degree cap 1024 and takes 0.2 s at 64.
+# took 22 s at degree cap 1024 and takes 0.2 s at 64.  The degree cap also
+# bounds the words of `lie mul`: e^64 * f^64 takes 15 s over Q, and
+# e^100 * f^100 ran past a minute.
 MAX_CAP = 8
 MAX_DEGREE_CAP = 64
 
@@ -367,9 +369,10 @@ def _run_lie_suite(config, rec):
             witness=f"dim={lie.dim} ring={lie.ring.name}")
     envelope = UniversalEnvelope(lie)
     monomials = [envelope.monomial(exp) for exp in exponents]
+    products = [(u, v, u * v) for u in monomials for v in monomials]
 
-    mismatch = next(((u, v) for u in monomials for v in monomials
-                     if u * v != multiply_by_word_rewriting(u, v)), None)
+    mismatch = next(((u, v) for u, v, p in products
+                     if p != multiply_by_word_rewriting(u, v)), None)
     rec.add("pbw-word-oracle-agreement", "exhaustive", mismatch is None,
             witness=None if mismatch is None else repr(mismatch))
 
@@ -382,7 +385,6 @@ def _run_lie_suite(config, rec):
     rec.add("associativity", "sampled",
             all((u * v) * w == u * (v * w) for u, v, w in triples))
 
-    products = ((u, v, u * v) for u in monomials for v in monomials)
     rec.add("graded-domain-structure", "exhaustive", all(
         p.degree() == (u.degree() or 0) + (v.degree() or 0)
         and p.leading() == commutative_multiply(u.leading(), v.leading())
@@ -472,8 +474,12 @@ def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
 
 def _parse_word(lie, text):
     labels = list(lie.labels)
+    tokens = text.split(",")
+    if len(tokens) > MAX_DEGREE_CAP:
+        raise ConfigError(
+            f"a word has at most {MAX_DEGREE_CAP} letters, not {len(tokens)}")
     out = []
-    for token in text.split(","):
+    for token in tokens:
         token = token.strip()
         if token not in labels:
             raise ConfigError(f"unknown basis label {token!r}")

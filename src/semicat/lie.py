@@ -323,7 +323,7 @@ def _accumulate(K, out, terms, c=None):
     ``terms``, dropping every key whose sum is zero; returns ``out``."""
     for key, x in terms:
         s = K.add(out.get(key, K.zero), x if c is None else K.mul(c, x))
-        if K.eq(s, K.zero):
+        if s == K.zero:  # Semiring.eq, which no coefficient ring overrides
             out.pop(key, None)
         else:
             out[key] = s
@@ -335,7 +335,8 @@ def _memoized(memo, key, expand):
 
     ``expand(key)`` is a generator: it yields each key whose value it needs,
     is sent that value back, and returns its own value, which is stored.
-    So the Python stack stays flat however deep the recursion goes.
+    So the Python stack stays flat however deep the recursion goes.  The
+    callers here look a key up themselves and yield it only on a miss.
     """
     value = memo.get(key)
     if value is not None:
@@ -371,10 +372,6 @@ def vec_scale(K, c, u):
     return _accumulate(K, {}, u.items(), c)
 
 
-def vec_neg(K, u):
-    return {i: K.neg(c) for i, c in u.items()}
-
-
 def clean_vector(K, u):
     return {i: c for i, c in u.items() if not K.eq(c, K.zero)}
 
@@ -399,21 +396,24 @@ class LieAlgebraData:
             if vec:
                 self.table[pair] = vec
         self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(dim))
+        # _terms[i][j]: the (k, c) terms of [e_i, e_j], for the product loops
+        self._terms = [[()] * dim for _ in range(dim)]
+        for (i, j), vec in self.table.items():
+            self._terms[i][j] = tuple(vec.items())
+            self._terms[j][i] = tuple((k, ring.neg(c)) for k, c in vec.items())
 
     def bracket_basis(self, i, j):
-        """[e_i, e_j] as a vector; antisymmetric in the indices."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return vec_neg(self.ring, self.table.get((j, i), {}))
+        """[e_i, e_j] as a fresh vector; antisymmetric in the indices."""
+        return dict(self._terms[i][j])
 
     def bracket(self, u, v):
         K = self.ring
         out = {}
         for i, a in u.items():
+            terms = self._terms[i]
             for j, b in v.items():
-                _accumulate(K, out, self.bracket_basis(i, j).items(), K.mul(a, b))
+                if terms[j]:
+                    _accumulate(K, out, terms[j], K.mul(a, b))
         return out
 
     def ad_matrix(self, u):
@@ -434,7 +434,8 @@ class LieAlgebraData:
                 for pair, vec in self.table.items())))
 
     def __eq__(self, other):
-        return isinstance(other, LieAlgebraData) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, LieAlgebraData) and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -464,7 +465,7 @@ def validate_lie(ring, dim, brackets, labels=None):
                 raise AntisymmetryViolation(i)
             continue
         lo, hi = min(i, j), max(i, j)
-        stored = vec if i < j else vec_neg(ring, vec)
+        stored = vec if i < j else vec_scale(ring, ring.neg(ring.one), vec)
         if (lo, hi) in table:
             if table[(lo, hi)] != stored:
                 raise AntisymmetryViolation(
@@ -715,7 +716,7 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
             if lhs != rhs:
                 raise AxiomViolation(
                     "sum-power", (i, j),
-                    f"residual {vec_add(K, lhs, vec_neg(K, rhs))!r}")
+                    f"residual {vec_add(K, lhs, vec_scale(K, K.neg(K.one), rhs))!r}")
     report.records.append(Check(
         "sum-power-basis-pairs", "exhaustive", "pass",
         checked=lie.dim * (lie.dim - 1)))
@@ -741,7 +742,8 @@ class UniversalEnvelope:
                 self.restricted.key() if self.restricted else None)
 
     def __eq__(self, other):
-        return isinstance(other, UniversalEnvelope) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, UniversalEnvelope) and self.key() == other.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -814,11 +816,12 @@ class UniversalEnvelope:
 
     def _times(self, i, exp):
         """x_i times the PBW monomial x^exp, in canonical form (memoized)."""
-        return _memoized(self._products, (i, exp), self._straighten)
+        return self._products.get((i, exp)) or _memoized(
+            self._products, (i, exp), self._straighten)
 
     def _straighten(self, key):
         """x_i * x^exp for ``_memoized``: yields the (letter, monomial)
-        products it needs.
+        products it needs and does not find in the memo.
 
         Write x^exp = x_j * x^rest with j its first letter.  If i <= j the
         exponent of x_i goes up by one; in restricted mode, once it reaches p
@@ -827,33 +830,60 @@ class UniversalEnvelope:
         """
         i, exp = key
         K = self.ring
-        j = next((t for t, a in enumerate(exp) if a), len(exp))
+        get = self._products.get
         rest = list(exp)
         out = {}
-        if i <= j:
+        if not any(exp[:i]):  # i <= j: no letter of x^exp comes before x_i
             rest[i] += 1
             if self.restricted is None or rest[i] < self.restricted.p:
                 return {tuple(rest): K.one}
             rest[i] = 0
             rest = tuple(rest)
-            for k, c in self.restricted.image(i).items():
-                _accumulate(K, out, (yield k, rest).items(), c)
+            for k, c in self.restricted.images[i].items():
+                _accumulate(K, out, (get((k, rest)) or (yield k, rest)).items(), c)
             return out
+        j = next(t for t, a in enumerate(exp) if a)
         rest[j] -= 1
         rest = tuple(rest)
-        for m, c in (yield i, rest).items():
-            _accumulate(K, out, (yield j, m).items(), c)
-        for k, c in self.lie.bracket_basis(i, j).items():
-            _accumulate(K, out, (yield k, rest).items(), c)
+        for m, c in (get((i, rest)) or (yield i, rest)).items():
+            _accumulate(K, out, (get((j, m)) or (yield j, m)).items(), c)
+        for k, c in self.lie._terms[i][j]:
+            _accumulate(K, out, (get((k, rest)) or (yield k, rest)).items(), c)
         return out
 
     def multiply(self, u, v):
+        """u * v, folding u's letters into v.  Over Q both operands are first
+        scaled by the lcm of their coefficient denominators, so the fold runs
+        on integers, and each output coefficient is divided once."""
         K = self.ring
+        a, b, scale = u.coeffs, v.coeffs, 1
+        if isinstance(K, RationalField):
+            (da, a), (db, b) = _integral(a), _integral(b)
+            scale = da * db
         out = {}
-        for ea, ca in u.coeffs.items():
-            product = self._left_multiply(self.word_of(ea), v.coeffs)
+        for ea, ca in a.items():
+            product = self._left_multiply(self.word_of(ea), b)
             _accumulate(K, out, product.items(), ca)
-        return PbwElement(self, out)
+        if scale != 1:
+            out = {exp: c // scale if c % scale == 0 else Fraction(c, scale)
+                   for exp, c in out.items()}
+        return _canonical(self, out)
+
+
+def _integral(coeffs):
+    """(d, d * coeffs) for d the lcm of the denominators of rational coeffs."""
+    d = math.lcm(*(c.denominator for c in coeffs.values()))
+    if d == 1:
+        return 1, coeffs
+    return d, {exp: c.numerator * (d // c.denominator) for exp, c in coeffs.items()}
+
+
+def _canonical(envelope, coeffs):
+    """PbwElement(envelope, coeffs) without the copy and exponent scan."""
+    out = object.__new__(PbwElement)
+    out.envelope = envelope
+    out.coeffs = coeffs
+    return out
 
 
 class PbwElement:
@@ -874,12 +904,12 @@ class PbwElement:
 
     def __add__(self, other):
         self._check(other)
-        return PbwElement(self.envelope, _accumulate(
+        return _canonical(self.envelope, _accumulate(
             self.envelope.ring, dict(self.coeffs), other.coeffs.items()))
 
     def __neg__(self):
         K = self.envelope.ring
-        return PbwElement(
+        return _canonical(
             self.envelope, {exp: K.neg(c) for exp, c in self.coeffs.items()})
 
     def __sub__(self, other):
@@ -890,7 +920,7 @@ class PbwElement:
         return self.envelope.multiply(self, other)
 
     def scale(self, c):
-        return PbwElement(self.envelope, _accumulate(
+        return _canonical(self.envelope, _accumulate(
             self.envelope.ring, {}, self.coeffs.items(), c))
 
     def _check(self, other):
@@ -948,29 +978,30 @@ def multiply_by_word_rewriting(u, v):
     segments, not whole words.  A p-run at the front of a sorted segment may
     be traded before a descent at its left boundary: both sides are equal in
     u(L).  Shares with the engine only ``_memoized``, ``_accumulate``,
-    ``_exponents`` and ``word_of``.
+    ``_exponents``, ``word_of`` and the algebra's bracket terms.
     """
     env = u.envelope
     K = env.ring
     lie = env.lie
     restricted = env.restricted
     memo = {}  # segment -> {normal word: coefficient}
+    get = memo.get
 
     def rewrite(segment):
         j, tail = segment[0], segment[1:]
         out = {}
         if tail and j > tail[0]:
             i, tail = tail[0], tail[1:]
-            for m, c in (yield (j,) + tail).items():
-                _accumulate(K, out, (yield (i,) + m).items(), c)
-            pieces = lie.bracket_basis(j, i)
+            for m, c in (get(need := (j,) + tail) or (yield need)).items():
+                _accumulate(K, out, (get(need := (i,) + m) or (yield need)).items(), c)
+            pieces = lie._terms[j][i]
         elif restricted is not None and segment[:restricted.p] == (j,) * restricted.p:
             tail = segment[restricted.p:]
-            pieces = restricted.image(j)
+            pieces = restricted.images[j].items()
         else:
             return {segment: K.one}
-        for k, c in pieces.items():
-            _accumulate(K, out, (yield (k,) + tail).items(), c)
+        for k, c in pieces:
+            _accumulate(K, out, (get(need := (k,) + tail) or (yield need)).items(), c)
         return out
 
     total = {}

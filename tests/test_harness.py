@@ -19,8 +19,10 @@ from semicat import cli
 from semicat import semirings as S
 from semicat.errors import Check, ConfigError, SemicatError, VerificationReport
 from semicat.harness import (
+    MAX_DEGREE_CAP,
     ExperimentConfig,
     Report,
+    _parse_word,
     _Recorder,
     check_recovered_twist,
     emit_report,
@@ -287,6 +289,21 @@ def test_cli_exit_codes(tmp_path, capsys):
         path.write_text(text)
         assert cli.main(["report", "show", str(path)] + extra) == 2
         capsys.readouterr()
+
+
+def test_cli_lie_mul_words_are_capped(capsys):
+    """A word past the degree cap is refused before any product is formed:
+    e^100 * f^100 over Q ran past a minute."""
+    lie, _ = load_lie("sl2:Q")
+    longest = ",".join(["e"] * MAX_DEGREE_CAP)
+    assert _parse_word(lie, longest) == (2,) * MAX_DEGREE_CAP
+    too_long = longest + ",e"
+    for words in (["--left", too_long, "--right", "f"],
+                  ["--left", "f", "--right", too_long]):
+        start = time.perf_counter()
+        assert cli.main(["lie", "mul", "--file", "sl2:Q", *words]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"at most {MAX_DEGREE_CAP} letters, not 65" in capsys.readouterr().err
 
 
 def test_cli_reports_identical_across_hash_seeds(tmp_path):

@@ -317,6 +317,57 @@ def test_products_agree_with_word_oracle(data):
     assert whole == _word_by_oracle(env, left + right)
 
 
+Q_ENVELOPES = (
+    sl2_env(Q), L.UniversalEnvelope(L.heisenberg(Q)),
+    L.UniversalEnvelope(L.abelian(Q, 4)), ORACLE_ENVELOPES[-1])
+
+
+@pytest.mark.parametrize("env", Q_ENVELOPES, ids=(
+    "sl2-Q", "heisenberg-Q", "abelian4-Q", "half-sl2-Q"))
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_integer_folds_over_q_agree_with_word_oracle(env, data):
+    """Over Q, products fold on operands scaled to integer coefficients and
+    divide once at the end; the word oracle folds the fractions directly."""
+    words = st.lists(st.integers(0, env.lie.dim - 1), max_size=4)
+    exps = words.map(lambda word: L._exponents(env.lie.dim, word))
+    fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+    u, v = (env.element(data.draw(st.dictionaries(exps, fractions, max_size=4)))
+            for _ in range(2))
+    product = u * v
+    assert product == L.multiply_by_word_rewriting(u, v)
+    for c in product.coeffs.values():
+        assert (type(c) is int) == (Fraction(c).denominator == 1)
+
+
+@pytest.mark.parametrize("ring, left, right, keys", (
+    (Z, (2,) * 12, (0,) * 12, 2106),
+    (Q, (2,) * 10, (0,) * 10, 1265),
+    (F7, (2, 1) * 5, (0, 1) * 5, 789)))
+def test_product_memo_keys_are_pinned(ring, left, right, keys):
+    """The memo keys of `lie mul` on the word products below, as counted
+    before memo hits were answered inside the straightening step: the hits
+    skip the stack, but every key is still computed, and no other."""
+    env = sl2_env(ring)
+    u = env.element(env.normal_form_word(left))
+    v = env.element(env.normal_form_word(right))
+    product = u * v
+    assert len(env._products) == keys
+    assert product == L.multiply_by_word_rewriting(u, v)
+
+
+def test_bracket_basis_returns_a_fresh_dict():
+    lie = L.sl2(Q)
+    env = L.UniversalEnvelope(lie)
+    f, e = env.generator(0), env.generator(2)
+    expected = e * f
+    lie.bracket_basis(2, 0)[1] = 7
+    lie.bracket_basis(0, 2).clear()
+    assert lie.bracket_basis(2, 0) == {1: 1} and lie.bracket_basis(0, 2) == {1: -1}
+    fresh = L.UniversalEnvelope(lie)
+    assert fresh.generator(2) * fresh.generator(0) == expected == e * f
+
+
 @pytest.mark.parametrize("env", ORACLE_ENVELOPES, ids=(
     "sl2-Q", "sl2-Z", "sl2-F7", "heisenberg-Z", "restricted-sl2-F5", "half-sl2-Q"))
 @given(st.data())
