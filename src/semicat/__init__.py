@@ -2,16 +2,3 @@
 automorphisms, and PBW arithmetic in (restricted) universal envelopes."""
 
 __version__ = "0.1.0"
-
-from . import autfunctors, errors, harness, ibn, lie, matcat, semirings
-
-__all__ = [
-    "__version__",
-    "autfunctors",
-    "errors",
-    "harness",
-    "ibn",
-    "lie",
-    "matcat",
-    "semirings",
-]

@@ -14,7 +14,6 @@ import random
 
 from .errors import (
     CapMismatch,
-    Check,
     EquivalenceViolation,
     InjectionsNotFixed,
     NonInvertibleStack,
@@ -231,7 +230,7 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPL
     """
     R = functor.semiring
     ranks = range(0, functor.cap + 1)
-    report = VerificationReport(subject=functor.name)
+    report = VerificationReport(subject=functor.name, seed=seed)
     image_cache = {}
     try:
         certified = linear_certificate(functor, budget)
@@ -258,8 +257,7 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPL
                     break
         except SemicatError as exc:
             regime, witness, count = "exhaustive", f"error: {exc}", 0
-        status = "pass" if witness is None else "fail"
-        report.records.append(Check(name, regime, status, witness, count, seed))
+        report.add(name, regime, witness is None, witness, count)
 
     def identity_moved(n):
         image = image_of(identity(R, n))
@@ -301,7 +299,7 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPL
     else:
         for name, checks in zip(("addition-preservation", "composition-preservation"),
                                 certified):
-            report.records.append(Check(name, "exhaustive", "pass", None, checks, seed))
+            report.add(name, "exhaustive", True, checked=checks)
     law("biproduct-images", "exhaustive", biproduct_rows(), biproduct_defect)
     return report
 
@@ -518,6 +516,7 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
 class ReductionReport(Record):
     __slots__ = (
         "rank", "monoid_fixed", "codiagonal_fixed", "unit_rows_fixed", "regime")
+    _json_extra = ("agree",)
 
     def __init__(self, rank, monoid_fixed, codiagonal_fixed, unit_rows_fixed, regime):
         self.rank = rank
@@ -537,16 +536,6 @@ class ReductionReport(Record):
     @property
     def agree(self):
         return self.left_side == self.right_side
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "monoid_fixed": self.monoid_fixed,
-            "codiagonal_fixed": self.codiagonal_fixed,
-            "unit_rows_fixed": self.unit_rows_fixed,
-            "regime": self.regime,
-            "agree": self.agree,
-        }
 
 
 def reduction_precondition_check(functor, n, budget=DEFAULT_BUDGET, seed=0,
@@ -604,20 +593,6 @@ class OuterGroupReport(Record):
         self.classes = classes
         self.undecided = undecided
         self.consistent = consistent
-
-    def to_json(self):
-        return {
-            "semiring": self.semiring,
-            "cap": self.cap,
-            "aut_order": self.aut_order,
-            "inn_order": self.inn_order,
-            "out_order": self.out_order,
-            "class_count": self.class_count,
-            "class_count_lower_bound": self.class_count_lower_bound,
-            "classes": [list(c) for c in self.classes],
-            "undecided": [list(p) for p in self.undecided],
-            "consistent": self.consistent,
-        }
 
 
 def _find(parent, x):

@@ -184,8 +184,12 @@ def main(argv=None):
         return 2
     rendered = emit_report(report, args.fmt, include_timing=args.timings)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         print(rendered)
     return 0 if report.verdict in ("pass", "vacuous-pass") else 1

@@ -1,5 +1,17 @@
 """Exception types and the record classes shared across the library."""
 
+import json
+import time
+
+
+def _json_data(value):
+    """value as JSON data: a record as its ``to_json()``, a tuple as a list."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, (tuple, list)):
+        return [_json_data(v) for v in value]
+    return value
+
 
 class Record:
     """Base of the library's plain record classes.
@@ -7,9 +19,12 @@ class Record:
     A subclass lists its fields in ``__slots__``, in constructor order, and
     sets them in its own ``__init__``.  Two records of the same class are
     equal when their fields are, and show as ``Name(field=value, ...)``.
+    ``to_json()`` writes the fields and then the attributes that a class
+    names in ``_json_extra``, such as derived properties.
     """
 
     __slots__ = ()
+    _json_extra = ()
 
     @classmethod
     def _fields(cls):
@@ -29,6 +44,10 @@ class Record:
         fields = ", ".join(
             f"{name}={value!r}" for name, value in zip(self._fields(), self._values()))
         return f"{type(self).__name__}({fields})"
+
+    def to_json(self):
+        return {name: _json_data(getattr(self, name))
+                for name in self._fields() + self._json_extra}
 
 
 class FrozenRecord(Record):
@@ -86,13 +105,18 @@ class Check(Record):
 
 
 class VerificationReport(Record):
-    """The checks made on one subject."""
+    """The checks made on one subject, and the one way to record a check.
 
-    __slots__ = ("subject", "records")
+    ``seed`` is the seed of the run; a check records it only in the sampled
+    regime, the only one it affects.
+    """
 
-    def __init__(self, subject, records=None):
+    __slots__ = ("subject", "records", "seed")
+
+    def __init__(self, subject, records=None, seed=None):
         self.subject = subject
         self.records = [] if records is None else records
+        self.seed = seed
 
     @property
     def passed(self):
@@ -103,6 +127,35 @@ class VerificationReport(Record):
             if r.name == name:
                 return r
         raise KeyError(name)
+
+    def add(self, name, regime, passed, witness=None, checked=0, timing_ms=None):
+        """Record one check.  A witness that is not text is written as
+        canonical JSON (sorted keys; a record as its ``to_json()``)."""
+        if witness is not None and not isinstance(witness, str):
+            witness = json.dumps(_json_data(witness), sort_keys=True)
+        self.records.append(Check(
+            name, regime, "pass" if passed else "fail", witness, checked,
+            self.seed if regime == "sampled" else None, timing_ms))
+
+    def run(self, name, regime, body):
+        """Record a timed ``body()``: a pass with its text witness, if any, or
+        a fail naming the SemicatError it raised."""
+        start = time.perf_counter()
+        try:
+            witness = body()
+        except SemicatError as exc:
+            passed, witness = False, f"{type(exc).__name__}: {exc}"
+        else:
+            passed = True
+            witness = witness if isinstance(witness, str) else None
+        self.add(name, regime, passed, witness,
+                 timing_ms=round((time.perf_counter() - start) * 1000.0, 3))
+
+    def extend(self, prefix, checks):
+        """Record checks made elsewhere, as ``prefix:name``, with this seed."""
+        for c in checks:
+            self.add(f"{prefix}:{c.name}", c.regime, c.passed, c.witness, c.checked,
+                     c.timing_ms)
 
 
 class SemicatError(Exception):

@@ -13,7 +13,6 @@ import json
 import math
 import random
 import re
-import time
 
 from . import __version__
 from .autfunctors import (
@@ -30,6 +29,7 @@ from .errors import (
     Record,
     SearchCapExceeded,
     SemicatError,
+    VerificationReport,
 )
 from .ibn import classify_type, left_right_ibn_agree
 from .lie import (
@@ -62,9 +62,6 @@ from .semirings import (
     units_of,
 )
 
-EXPERIMENT_KINDS = (
-    "validate", "ibn", "aut-groups", "functor-verify", "out-group", "lie-suite",
-)
 # Work the budget does not count grows with the caps: the functor flows build
 # an invertible matrix or a biproduct system at every rank up to the cap and
 # evaluate functors on matrices of those ranks, and `lie units` multiplies
@@ -92,7 +89,7 @@ class ExperimentConfig(Record):
         self.budget = budget
 
     def validate(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _RUNNERS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.cap < 1 or self.degree_cap < 1:
             raise ConfigError("caps must be at least 1")
@@ -108,17 +105,6 @@ class ExperimentConfig(Record):
         elif not self.semiring:
             raise ConfigError(f"{self.kind} needs a semiring file or name")
 
-    def echo(self):
-        return {
-            "kind": self.kind,
-            "semiring": self.semiring,
-            "lie": self.lie,
-            "cap": self.cap,
-            "degree_cap": self.degree_cap,
-            "seed": self.seed,
-            "budget": self.budget,
-        }
-
 
 class Report(Record):
     __slots__ = ("experiment", "records", "version")
@@ -132,7 +118,9 @@ class Report(Record):
     def verdict(self):
         if not self.records:
             return "vacuous-pass"
-        return "pass" if all(r.passed for r in self.records) else "fail"
+        if all(r.passed for r in self.records):
+            return "pass"
+        return "fail"
 
     def to_json(self, include_timing=False):
         return {
@@ -189,51 +177,12 @@ def report_from_json(text):
     return report
 
 
-class _Recorder:
-    def __init__(self, seed):
-        self.seed = seed
-        self.records = []
-
-    def run(self, name, regime, body):
-        start = time.perf_counter()
-        try:
-            witness = body()
-        except SemicatError as exc:
-            passed, witness = False, f"{type(exc).__name__}: {exc}"
-        else:
-            passed = True
-            witness = witness if isinstance(witness, str) else None
-        self.add(name, regime, passed, witness,
-                 timing_ms=round((time.perf_counter() - start) * 1000.0, 3))
-
-    def add(self, name, regime, passed, witness=None, timing_ms=None, checked=0):
-        self.records.append(Check(
-            name, regime, "pass" if passed else "fail", witness, checked,
-            seed=self.seed if regime == "sampled" else None, timing_ms=timing_ms))
-
-    def extend(self, prefix, checks):
-        """Record checks made elsewhere, as ``prefix:name``, with this run's seed."""
-        for c in checks:
-            self.records.append(Check(
-                f"{prefix}:{c.name}", c.regime, c.status, c.witness, c.checked,
-                seed=self.seed if c.regime == "sampled" else None,
-                timing_ms=c.timing_ms))
-
-
 def run_experiment(config):
     """Dispatch a validated config to its module; failures become records."""
     config.validate()
-    rec = _Recorder(config.seed)
-    runner = {
-        "validate": _run_validate,
-        "ibn": _run_ibn,
-        "aut-groups": _run_aut_groups,
-        "functor-verify": _run_functor_verify,
-        "out-group": _run_out_group,
-        "lie-suite": _run_lie_suite,
-    }[config.kind]
-    runner(config, rec)
-    return Report(experiment=config.echo(), records=rec.records)
+    rec = VerificationReport(config.to_json(), seed=config.seed)
+    _RUNNERS[config.kind](config, rec)
+    return Report(experiment=rec.subject, records=rec.records)
 
 
 def _run_validate(config, rec):
@@ -266,21 +215,18 @@ def _run_ibn(config, rec):
     semiring = load_semiring(config.semiring)
     cap = max(2, config.cap)
     classification = classify_type(semiring, cap)
-    rec.add("classification", classification.regime, True,
-            witness=json.dumps(classification.to_json(), sort_keys=True))
+    rec.add("classification", classification.regime, True, witness=classification)
     agreement = left_right_ibn_agree(semiring, cap)
     rec.add("left-right-agreement", classification.regime, agreement.agree,
-            witness=json.dumps(agreement.to_json(), sort_keys=True))
+            witness=agreement)
 
 
 def _run_aut_groups(config, rec):
     semiring = load_semiring(config.semiring)
     groups = automorphism_groups(semiring)
     rec.add("orders", "exhaustive", True,
-            witness=json.dumps({
-                "aut": groups.aut_order,
-                "inn": groups.inn_order,
-                "out": groups.out_order}, sort_keys=True), checked=groups.steps)
+            witness={"aut": groups.aut_order, "inn": groups.inn_order,
+                     "out": groups.out_order}, checked=groups.steps)
     perms = {a.perm for a in groups.aut}
     closed = all(a.then(b).perm in perms for a in groups.aut for b in groups.aut)
     has_inverses = all(a.inverted().perm in perms for a in groups.aut)
@@ -327,9 +273,16 @@ def _run_out_group(config, rec):
     report = outer_group_experiment(
         semiring, config.cap, budget=config.budget, seed=config.seed)
     rec.add("class-count-matches-out", "exhaustive",
-            report.class_count == report.out_order,
-            witness=json.dumps(report.to_json(), sort_keys=True))
+            report.class_count == report.out_order, witness=report)
     rec.add("no-undecided-pairs", "exhaustive", not report.undecided)
+
+
+def _record_restricted_axioms(rec, lie, restricted, seed):
+    """With a p-map, the ``restricted-axioms`` record: a pass when
+    ``verify_restricted`` raises nothing, else a fail naming its error."""
+    if restricted is not None:
+        rec.run("restricted-axioms", "sampled",
+                lambda: verify_restricted(lie, restricted, seed=seed))
 
 
 _BUILTIN_LIE = re.compile(r"^(sl2|heisenberg|abelian(\d+)):(.+)$")
@@ -400,15 +353,22 @@ def _run_lie_suite(config, rec):
         == sum(multiset_count(lie.dim, k) for k in range(cap + 1)) for cap in range(4)))
 
     if restricted is not None:
-        def body():
-            verify_restricted(lie, restricted, seed=config.seed)
-
-        rec.run("restricted-axioms", "sampled", body)
+        _record_restricted_axioms(rec, lie, restricted, config.seed)
         p = restricted.p
         full_cap = lie.dim * (p - 1)
         count = len(restricted_module_basis(lie, p, ("x1",), full_cap))
         rec.add("restricted-basis-count", "exhaustive", count == p ** lie.dim,
                 witness=f"{count} vs {p}^{lie.dim}")
+
+
+_RUNNERS = {
+    "validate": _run_validate,
+    "ibn": _run_ibn,
+    "aut-groups": _run_aut_groups,
+    "functor-verify": _run_functor_verify,
+    "out-group": _run_out_group,
+    "lie-suite": _run_lie_suite,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +402,9 @@ def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
         raise ConfigError(
             f"semiring has {len(groups.aut)} automorphisms; index {sigma_index} is out of range")
     sigma = groups.aut[sigma_index]
-    rec = _Recorder(config.seed)
+    rec = VerificationReport(
+        {**config.to_json(), "action": action, "sigma": sigma_index,
+         "random_family": random_family}, seed=config.seed)
     data = skew_inner_functor(sigma, config.cap)
     if random_family:
         rng = random.Random(f"{config.seed}:family")
@@ -466,10 +428,7 @@ def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
         rec.run("normalize-fixes-injections", "exhaustive", body)
     else:
         raise ConfigError(f"unknown autmorph action {action!r}")
-    return Report(experiment={**config.echo(), "action": action,
-                              "sigma": sigma_index,
-                              "random_family": random_family},
-                  records=rec.records)
+    return Report(experiment=rec.subject, records=rec.records)
 
 
 def _parse_word(lie, text):
@@ -492,15 +451,12 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
     config.validate()
     lie, restricted = load_lie(config.lie)
     envelope = UniversalEnvelope(lie, restricted=restricted)
-    rec = _Recorder(config.seed)
-    extra = {"action": action}
+    rec = VerificationReport({**config.to_json(), "action": action}, seed=config.seed)
     if action == "validate":
         rec.add("validate", "exhaustive", True,
                 witness=f"dim={lie.dim} ring={lie.ring.name}"
                         + (" restricted" if restricted else ""))
-        if restricted is not None:
-            rec.run("restricted-axioms", "sampled",
-                    lambda: verify_restricted(lie, restricted, seed=config.seed))
+        _record_restricted_axioms(rec, lie, restricted, config.seed)
     elif action == "mul":
         if left is None or right is None:
             raise ConfigError("mul needs --left and --right words")
@@ -510,7 +466,7 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
         oracle = multiply_by_word_rewriting(u, v)
         rec.add("normal-form", "exhaustive", product == oracle,
                 witness=repr(product))
-        extra["left"], extra["right"] = left, right
+        rec.subject["left"], rec.subject["right"] = left, right
     elif action == "basis":
         if gens < 1:
             raise ConfigError(f"a free module needs at least 1 generator, not {gens}")
@@ -526,11 +482,9 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
         else:
             basis = free_module_basis(lie, generators, cap)
         rec.add("basis", "exhaustive", True,
-                witness=json.dumps(
-                    {"count": len(basis),
-                     "labels": [b.label(lie) for b in basis[:24]]},
-                    sort_keys=True))
-        extra["generators"] = gens
+                witness={"count": len(basis),
+                         "labels": [b.label(lie) for b in basis[:24]]})
+        rec.subject["generators"] = gens
     elif action == "lift":
         if map_name != "chevalley":
             raise ConfigError("only the built-in 'chevalley' map is supported here")
@@ -542,14 +496,12 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
             return f"lifted {lifted!r}"
 
         rec.run("lift-spot-checks", "sampled", body)
-        extra["map"] = map_name
+        rec.subject["map"] = map_name
     elif action == "units":
         report = cyclic_aut_check(envelope, config.degree_cap, seed=config.seed)
         rec.extend("units", report.records)
         rec.add("unit-count", "exhaustive", True,
-                witness=json.dumps(
-                    {"count": report.unit_count, "units": report.units},
-                    sort_keys=True))
+                witness={"count": report.unit_count, "units": report.units})
     else:
         raise ConfigError(f"unknown lie action {action!r}")
-    return Report(experiment={**config.echo(), **extra}, records=rec.records)
+    return Report(experiment=rec.subject, records=rec.records)

@@ -203,6 +203,7 @@ def classify_type(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):
 
 class LeftRightReport(Record):
     __slots__ = ("left", "right")
+    _json_extra = ("agree",)
 
     def __init__(self, left, right):
         self.left = left
@@ -215,13 +216,6 @@ class LeftRightReport(Record):
         if self.left.kind == "type":
             return (self.left.n, self.left.h) == (self.right.n, self.right.h)
         return self.left.cap == self.right.cap
-
-    def to_json(self):
-        return {
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-            "agree": self.agree,
-        }
 
 
 def left_right_ibn_agree(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):

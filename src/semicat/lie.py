@@ -25,7 +25,6 @@ from ._galois import factor_prime_power, gf_tables
 from .errors import (
     AntisymmetryViolation,
     AxiomViolation,
-    Check,
     DegreeCapExceeded,
     FrozenRecord,
     JacobiViolation,
@@ -662,12 +661,12 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
     """
     K = lie.ring
     p = restricted.p
-    report = VerificationReport(subject=f"p-map over {K.name}")
+    report = VerificationReport(subject=f"p-map over {K.name}", seed=seed)
     if K.characteristic != p:
         raise AxiomViolation(
             "characteristic", (K.characteristic, p),
             f"coefficient ring has characteristic {K.characteristic}, p-map wants {p}")
-    report.records.append(Check("characteristic", "exhaustive", "pass", checked=1))
+    report.add("characteristic", "exhaustive", True, checked=1)
 
     for i in range(lie.dim):
         lhs = lie.ad_matrix(restricted.image(i))
@@ -676,8 +675,7 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
             raise AxiomViolation(
                 "bracket-power", (i,),
                 f"ad of the p-image of basis {i} differs from the p-th ad power")
-    report.records.append(Check(
-        "bracket-power-basis", "exhaustive", "pass", checked=lie.dim))
+    report.add("bracket-power-basis", "exhaustive", True, checked=lie.dim)
 
     rng = random.Random(f"{seed}:restricted")
     for _ in range(samples):
@@ -689,8 +687,7 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
         if lhs != rhs:
             raise AxiomViolation("bracket-power", tuple(sorted(g.items())),
                                  "extension evaluator breaks the ad power law")
-    report.records.append(Check(
-        "bracket-power-combinations", "sampled", "pass", checked=samples, seed=seed))
+    report.add("bracket-power-combinations", "sampled", True, checked=samples)
 
     for _ in range(samples):
         lam = K.sample_element(rng)
@@ -700,8 +697,7 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
         rhs = vec_scale(K, K.power(lam, p), p_power(lie, restricted, g))
         if lhs != rhs:
             raise AxiomViolation("scalar-power", (lam, i), "scalar rule broken")
-    report.records.append(Check(
-        "scalar-power", "sampled", "pass", checked=samples, seed=seed))
+    report.add("scalar-power", "sampled", True, checked=samples)
 
     for i in range(lie.dim):
         for j in range(lie.dim):
@@ -717,9 +713,8 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
                 raise AxiomViolation(
                     "sum-power", (i, j),
                     f"residual {vec_add(K, lhs, vec_scale(K, K.neg(K.one), rhs))!r}")
-    report.records.append(Check(
-        "sum-power-basis-pairs", "exhaustive", "pass",
-        checked=lie.dim * (lie.dim - 1)))
+    report.add("sum-power-basis-pairs", "exhaustive", True,
+               checked=lie.dim * (lie.dim - 1))
     return report
 
 
@@ -1354,12 +1349,15 @@ def hat_sigma_conjugate(sigma, nu, rng=None, linearity_samples=0):
 class CyclicUnitsReport(VerificationReport):
     """The unit checks on a truncated envelope, with the scalar units found."""
 
-    __slots__ = ("unit_count", "units")
+    __slots__ = ("units",)
 
-    def __init__(self, subject, records=None, unit_count=0, units=None):
-        super().__init__(subject, records)
-        self.unit_count = unit_count
+    def __init__(self, subject, records=None, seed=None, units=None):
+        super().__init__(subject, records, seed)
         self.units = [] if units is None else units
+
+    @property
+    def unit_count(self):
+        return len(self.units)
 
 
 def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
@@ -1370,48 +1368,36 @@ def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
     unit test, and a direct product sweep re-refutes a degree-one candidate.
     """
     K = envelope.ring
-    records = []
+    report = CyclicUnitsReport(subject=K.name, seed=seed)
     if K.is_finite:
         units = [c for c in K.elements() if K.is_unit(c)]
         found = [c for c in K.elements() if is_unit(envelope.scalar(c))]
-        records.append(Check(
-            f"unit-scalars({len(found)})", "exhaustive",
-            "pass" if found == units else "fail", checked=len(K.elements())))
+        report.add(f"unit-scalars({len(found)})", "exhaustive", found == units,
+                   checked=len(K.elements()))
     elif K.characteristic == 0 and K.name == "Z":
         units = [c for c in range(-scan_bound, scan_bound + 1)
                  if is_unit(envelope.scalar(c))]
-        records.append(Check(
-            "unit-scalars({-1,1})", "sampled",
-            "pass" if sorted(units) == [-1, 1] else "fail",
-            checked=2 * scan_bound + 1, seed=seed))
+        report.add("unit-scalars({-1,1})", "sampled", sorted(units) == [-1, 1],
+                   checked=2 * scan_bound + 1)
     else:
         rng0 = random.Random(f"{seed}:qunits")
         units = []
         ok = all(
             is_unit(envelope.scalar(c)) == (not K.eq(c, K.zero))
             for c in (K.sample_element(rng0) for _ in range(samples)))
-        records.append(Check(
-            "unit-scalars(K*)", "sampled", "pass" if ok else "fail", seed=seed))
+        report.add("unit-scalars(K*)", "sampled", ok)
 
     rng = random.Random(f"{seed}:cyclic")
     ok = not any(
         u.degree() not in (None, 0) and is_unit(u) for u in (
             envelope.sample_element(rng, max_degree=max(1, degree_cap))
             for _ in range(samples)))
-    records.append(Check(
-        "positive-degree-non-units", "sampled", "pass" if ok else "fail",
-        seed=seed))
+    report.add("positive-degree-non-units", "sampled", ok)
 
     candidate = envelope.one() + envelope.generator(envelope.lie.dim - 1)
     refuted = not is_unit(candidate) and not any(
         candidate * envelope.sample_element(rng, max_degree=max(0, degree_cap - 1))
         == envelope.one() for _ in range(samples))
-    records.append(Check(
-        "one-plus-generator-refuted", "sampled", "pass" if refuted else "fail",
-        seed=seed))
-    return CyclicUnitsReport(
-        subject=K.name,
-        records=records,
-        unit_count=len(units),
-        units=[K.value_to_json(c) for c in units],
-    )
+    report.add("one-plus-generator-refuted", "sampled", refuted)
+    report.units = [K.value_to_json(c) for c in units]
+    return report

@@ -428,9 +428,6 @@ def product_semiring(left, right, name=None):
         name or f"{left.name}x{right.name}")
 
 
-BUILTIN_NAMES = ("boolean", "naturals", "integers", "tropical", "trivial")
-
-
 def load_semiring(spec):
     """Resolve a built-in name ('boolean', 'zmod:<n>', 'gf:<q>', ...) or a JSON file."""
     if spec == "boolean":

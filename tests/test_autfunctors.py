@@ -234,14 +234,14 @@ def test_verify_functor_rejects_rank_change():
     report = A.verify_functor(shifted)
     assert report.record("object-ranks").status == "fail"
     assert _record_values(report) == [
-        ("object-ranks", "exhaustive", "fail", "rank 0 sent to rank 1", 1, 0),
+        ("object-ranks", "exhaustive", "fail", "rank 0 sent to rank 1", 1, None),
         ("identity-preservation", "exhaustive", "fail",
-         "identity at rank 0 moved: F1->F1[[0]]", 1, 0),
-        ("zero-preservation", "exhaustive", "pass", None, 9, 0),
-        ("addition-preservation", "exhaustive", "pass", None, 66064, 0),
-        ("composition-preservation", "exhaustive", "pass", None, 74979, 0),
+         "identity at rank 0 moved: F1->F1[[0]]", 1, None),
+        ("zero-preservation", "exhaustive", "pass", None, 9, None),
+        ("addition-preservation", "exhaustive", "pass", None, 66064, None),
+        ("composition-preservation", "exhaustive", "pass", None, 74979, None),
         ("biproduct-images", "exhaustive", "fail",
-         "image injection/projection pairing broken at rank 1", 1, 0)]
+         "image injection/projection pairing broken at rank 1", 1, None)]
 
 
 def _record_values(report):
@@ -276,39 +276,39 @@ def test_failing_records_keep_their_witnesses_and_counts():
               ("zero-preservation", "exhaustive", "pass", None, 9)]
     expected = {
         one_to_zero: [
-            ("object-ranks", "exhaustive", "pass", None, 3, 0),
+            ("object-ranks", "exhaustive", "pass", None, 3, None),
             ("identity-preservation", "exhaustive", "fail",
-             "identity at rank 1 moved: F1->F1[[0]]", 2, 0),
-            ("zero-preservation", "exhaustive", "pass", None, 9, 0),
+             "identity at rank 1 moved: F1->F1[[0]]", 2, None),
+            ("zero-preservation", "exhaustive", "pass", None, 9, None),
             ("addition-preservation", "exhaustive", "fail",
-             "addition broken at F1->F1[[1]] + F1->F1[[2]]", 7, 0),
+             "addition broken at F1->F1[[1]] + F1->F1[[2]]", 7, None),
             ("composition-preservation", "exhaustive", "fail",
-             "composition broken at F1->F1[[1]] ; F1->F1[[2]]", 311, 0),
+             "composition broken at F1->F1[[1]] ; F1->F1[[2]]", 311, None),
             ("biproduct-images", "exhaustive", "fail",
-             "image injection/projection pairing broken at rank 1", 1, 0)],
+             "image injection/projection pairing broken at rank 1", 1, None)],
         M.BlackBoxFunctor(F4, raising, cap=2, name="raising"): [
-            ("object-ranks", "exhaustive", "pass", None, 3, 0),
-            *[(name, "exhaustive", "fail", "error: no 2x2 images", 0, 0)
+            ("object-ranks", "exhaustive", "pass", None, 3, None),
+            *[(name, "exhaustive", "fail", "error: no 2x2 images", 0, None)
               for name in ("identity-preservation", "zero-preservation",
                            "addition-preservation", "composition-preservation")],
-            ("biproduct-images", "exhaustive", "pass", None, 3, 0)],
+            ("biproduct-images", "exhaustive", "pass", None, 3, None)],
         corrupted: [
-            *[(*p, 0) for p in passes],
+            *[(*p, None) for p in passes],
             ("addition-preservation", "exhaustive", "fail",
-             "addition broken at F2->F2[[0, 0], [0, 1]] + F2->F2[[2, 0], [0, 0]]", 913, 0),
+             "addition broken at F2->F2[[0, 0], [0, 1]] + F2->F2[[2, 0], [0, 0]]", 913, None),
             ("composition-preservation", "exhaustive", "fail",
-             "composition broken at F1->F2[[0, 1]] ; F2->F2[[2, 0], [0, 1]]", 1042, 0),
-            ("biproduct-images", "exhaustive", "pass", None, 3, 0)],
+             "composition broken at F1->F2[[0, 1]] ; F2->F2[[2, 0], [0, 1]]", 1042, None),
+            ("biproduct-images", "exhaustive", "pass", None, 3, None)],
     }
     for functor, records in expected.items():
         assert _record_values(A.verify_functor(functor)) == records, functor.name
     assert _record_values(A.verify_functor(corrupted, budget=300, seed=5)) == [
-        *[(*p, 5) for p in passes],
+        *[(*p, None) for p in passes],
         ("addition-preservation", "sampled", "fail",
          "addition broken at F2->F2[[2, 0], [0, 1]] + F2->F2[[2, 0], [3, 3]]", 193, 5),
         ("composition-preservation", "sampled", "fail",
          "composition broken at F1->F2[[3, 0]] ; F2->F2[[2, 0], [0, 1]]", 120, 5),
-        ("biproduct-images", "exhaustive", "pass", None, 3, 5)]
+        ("biproduct-images", "exhaustive", "pass", None, 3, None)]
 
 
 def test_morphism_sweep_regime_rule():

@@ -23,7 +23,6 @@ from semicat.harness import (
     ExperimentConfig,
     Report,
     _parse_word,
-    _Recorder,
     check_recovered_twist,
     emit_report,
     load_lie,
@@ -537,7 +536,7 @@ def test_records_never_share_a_list():
 
 
 def test_recorder_extend_renames_and_keeps_the_counts():
-    rec = _Recorder(seed=7)
+    rec = VerificationReport(None, seed=7)
     sampled = Check("law", "sampled", "fail", witness="w", checked=12, seed=99,
                     timing_ms=1.5)
     swept = Check("sweep", "exhaustive", "pass", checked=30, seed=99, timing_ms=0.25)
@@ -808,3 +807,60 @@ def test_cli_restricted_file_flow(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["ibn", "agree", "--semiring", "trivial", "--cap", "3"]) == 0
     capsys.readouterr()
+
+
+# sl2 over zmod:5 with the p-map h^[5] = h (basis order f, h, e)
+_RESTRICTED_SL2 = {
+    "name": "sl2-restricted", "ring": "zmod:5", "dim": 3,
+    "labels": ["f", "h", "e"],
+    "brackets": [[0, 1, [[0, 2]]], [0, 2, [[1, 4]]], [1, 2, [[2, 2]]]],
+    "pmap": [[0, []], [1, [[1, 1]]], [2, []]],
+}
+
+
+def test_lie_validate_on_a_restricted_file(tmp_path):
+    path = tmp_path / "sl2-restricted.json"
+    path.write_text(json.dumps(_RESTRICTED_SL2))
+    report = run_lie_command("validate", config("lie-suite", lie=str(path), seed=4))
+    assert [(r.name, r.regime, r.status) for r in report.records] == [
+        ("validate", "exhaustive", "pass"),
+        ("restricted-axioms", "sampled", "pass")]
+    assert report.records[0].witness == "dim=3 ring=zmod:5 restricted"
+    assert report.records[1].seed == 4
+    assert report.verdict == "pass"
+
+
+def test_lie_basis_on_a_restricted_file_drops_p_powers(tmp_path):
+    import itertools
+
+    path = tmp_path / "sl2-restricted.json"
+    path.write_text(json.dumps(_RESTRICTED_SL2))
+    report = run_lie_command(
+        "basis", config("lie-suite", lie=str(path), degree_cap=6), gens=2)
+    # exponent vectors of 3 letters with every exponent below p = 5 and
+    # total degree at most 6, once per generator
+    expected = 2 * sum(
+        1 for exps in itertools.product(range(5), repeat=3) if sum(exps) <= 6)
+    free = 2 * sum(
+        1 for exps in itertools.product(range(7), repeat=3) if sum(exps) <= 6)
+    [record] = report.records
+    assert (record.name, record.regime, record.status) == ("basis", "exhaustive", "pass")
+    witness = json.loads(record.witness)
+    assert witness["count"] == expected < free
+    assert len(witness["labels"]) == 24
+
+
+def test_lie_file_coefficient_outside_a_galois_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "gf4.json"
+    path.write_text(json.dumps({
+        "ring": "gf:4", "dim": 2, "brackets": [[0, 1, [[0, 4]]]]}))
+    assert cli.main(["lie", "validate", "--file", str(path)]) == 2
+    assert "4 is not an element index of gf:4" in capsys.readouterr().err
+
+
+def test_cli_out_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        assert cli.main(["semiring", "validate", "--semiring", "boolean",
+                         "--out", str(target)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write report {target}: ")

@@ -1,5 +1,6 @@
-"""Every public top-level name in the library is used by the library, the
-acceptance tests or the benchmark, or is listed here with its reason."""
+"""Every public top-level name in the library (function, class or constant)
+is used by the library, the acceptance tests or the benchmark, or is listed
+here with its reason."""
 
 import ast
 import pathlib
@@ -33,18 +34,29 @@ def _names(tree):
             yield node.value
 
 
+def _defined(stmt):
+    """The names a top-level statement defines: a function, a class or the
+    plain names an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def test_public_library_names_are_used():
     used = set()
     for path in USERS:
         for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)  # a definition does not use itself
-            used.update(name for name in _names(stmt) if name != own)
+            own = _defined(stmt)  # a definition does not use itself
+            used.update(name for name in _names(stmt) if name not in own)
     unused = {
-        node.name
+        name
         for path in SRC
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in used
+        for stmt in ast.parse(path.read_text()).body
+        for name in _defined(stmt)
+        if not name.startswith("_") and name not in used
     }
     assert not unused - set(ALLOWED), f"no user: {sorted(unused - set(ALLOWED))}"
     assert not set(ALLOWED) - unused, f"now used: {sorted(set(ALLOWED) - unused)}"

@@ -839,3 +839,14 @@ def test_cyclic_unit_reports():
     g4 = L.GaloisFieldRing(4)
     report = L.cyclic_aut_check(L.UniversalEnvelope(L.abelian(g4, 2)), 2)
     assert report.passed and report.unit_count == 3
+
+
+def test_cyclic_units_over_q_are_all_sampled():
+    # over a field of characteristic 0 no scalar unit is listed: K* is only
+    # sampled, as are the positive-degree checks
+    report = L.cyclic_aut_check(sl2_env(Q), 2, seed=3)
+    assert [(r.name, r.regime, r.passed, r.seed) for r in report.records] == [
+        ("unit-scalars(K*)", "sampled", True, 3),
+        ("positive-degree-non-units", "sampled", True, 3),
+        ("one-plus-generator-refuted", "sampled", True, 3)]
+    assert report.passed and report.unit_count == 0 and report.units == []
