@@ -215,7 +215,7 @@ def linear_certificate(functor, budget=DEFAULT_BUDGET):
     return pairs + zeros + decompositions, pairs + structure
 
 
-def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLES):
+def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
     """Check functor laws up to the rank cap; failures become report records.
 
     Identity, composition, zero and addition preservation, biproduct-image
@@ -287,14 +287,14 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPL
     if certified is None:
         regime, cases = _morphism_sweep(
             R, [((n, m), (n, m)) for n in ranks for m in ranks if n * m > 0],
-            budget, seed, samples, tag="addition")
+            budget, seed, tag="addition")
         law("addition-preservation", regime, cases,
             lambda f, g: None if image_of(f + g) == image_of(f) + image_of(g)
             else f"addition broken at {f!r} + {g!r}")
         # each morphism carries its image, looked up once and not once per pair
         regime, cases = _morphism_sweep(
             R, [((n, m), (m, k)) for n in ranks for m in ranks for k in ranks],
-            budget, seed, samples, tag="composition", each=lambda f: (f, image_of(f)))
+            budget, seed, tag="composition", each=lambda f: (f, image_of(f)))
         law("composition-preservation", regime, cases, composition_broken)
     else:
         for name, checks in zip(("addition-preservation", "composition-preservation"),
@@ -342,7 +342,7 @@ def _morphism_sweep(R, shapes, budget, seed, samples=DEFAULT_SAMPLES, tag="sweep
 # extraction and normalization
 
 
-def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLES):
+def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0):
     """Read the carrier automorphism off the 1 x 1 action of the functor.
 
     Requires the canonical injections to be fixed (normalize first otherwise).
@@ -371,7 +371,7 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
         rng = random.Random(f"{seed}:extract")
         if not R.eq(one_by_one(R.zero), R.zero) or not R.eq(one_by_one(R.one), R.one):
             raise NotAnAutomorphism("1x1 action moves zero or one")
-        for _ in range(samples // 4 or 1):
+        for _ in range(DEFAULT_SAMPLES // 4):
             a = R.sample_element(rng)
             b = R.sample_element(rng)
             if not R.eq(one_by_one(R.add(a, b)), R.add(one_by_one(a), one_by_one(b))):
@@ -382,7 +382,7 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
 
     shapes = [((n, m),) for n in range(1, functor.cap + 1)
               for m in range(1, functor.cap + 1)]
-    _, sweep = _morphism_sweep(R, shapes, budget, seed, samples, tag="extract-agree")
+    _, sweep = _morphism_sweep(R, shapes, budget, seed, tag="extract-agree")
     for (f,) in sweep:
         if functor.on_morphism(f) != f.map_entries(sigma.apply):
             raise NotAnAutomorphism(
@@ -449,7 +449,7 @@ def decompose_stable_inner(functor, isos):
 # inner witnesses and the reduction machinery
 
 
-def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLES):
+def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0):
     """Find a conjugation family realizing the functor, or refute one.
 
     The paper's rank-1 reduction.  ``normalize_injections`` gives F0, which
@@ -464,7 +464,7 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
 
     Cost: |units| * |R| checks on a finite carrier, charged against
     ``budget`` before the search, plus the sweep.  On an infinite commutative
-    carrier only u = 1 is tried, on ``samples // 4`` seeded scalars.
+    carrier only u = 1 is tried, on ``DEFAULT_SAMPLES // 4`` seeded scalars.
 
     Returns the witness when the sweep confirms it; None when no family
     exists (the stacked injection images do not invert, no unit matches the
@@ -488,7 +488,7 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
     elif R.is_commutative:
         rng = random.Random(f"{seed}:end-f1")
         units = [R.one]
-        scalars = [R.sample_element(rng) for _ in range(samples // 4 or 1)]
+        scalars = [R.sample_element(rng) for _ in range(DEFAULT_SAMPLES // 4)]
     else:
         raise SearchCapExceeded(
             f"units of the infinite noncommutative carrier {R.name} cannot be searched")
@@ -508,7 +508,7 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0, samples=DEFAULT_SAMPLE
         {n: stacks.inverse(n).map_entries(lambda x: R.mul(x, v))
          for n in range(cap + 1)})
     shapes = [((n, m),) for n in range(1, cap + 1) for m in range(1, cap + 1)]
-    _, sweep = _morphism_sweep(R, shapes, budget, seed, samples, tag="inner-verify")
+    _, sweep = _morphism_sweep(R, shapes, budget, seed, tag="inner-verify")
     ok, _ = witness.verify(functor, (f for (f,) in sweep))
     return witness if ok else None
 
@@ -538,8 +538,7 @@ class ReductionReport(Record):
         return self.left_side == self.right_side
 
 
-def reduction_precondition_check(functor, n, budget=DEFAULT_BUDGET, seed=0,
-                                 samples=DEFAULT_SAMPLES):
+def reduction_precondition_check(functor, n, budget=DEFAULT_BUDGET, seed=0):
     """Evaluate both sides of the triviality equivalence at rank n.
 
     Side one: the functor fixes every endomorphism of F_n and the fold map
@@ -550,11 +549,11 @@ def reduction_precondition_check(functor, n, budget=DEFAULT_BUDGET, seed=0,
     R = functor.semiring
     system = biproduct_system(R, n)
     regime, endos = _morphism_sweep(
-        R, [((n, n),)], budget, seed, samples, tag=f"reduction-endo-{n}")
+        R, [((n, n),)], budget, seed, tag=f"reduction-endo-{n}")
     monoid_fixed = all(functor.on_morphism(f) == f for (f,) in endos)
     codiag_fixed = functor.on_morphism(system.codiagonal) == system.codiagonal
     regime2, rows = _morphism_sweep(
-        R, [((1, n),)], budget, seed, samples, tag=f"reduction-rows-{n}")
+        R, [((1, n),)], budget, seed, tag=f"reduction-rows-{n}")
     rows_fixed = all(functor.on_morphism(f) == f for (f,) in rows)
     report = ReductionReport(
         rank=n,

@@ -9,11 +9,11 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .errors import ConfigError, ParseError, SemicatError
+from .autfunctors import DEFAULT_BUDGET
+from .errors import ConfigError, ParseError, SemicatError, VerificationReport
 from .harness import (
     ExperimentConfig,
     emit_report,
-    report_from_json,
     run_autmorph_flow,
     run_experiment,
     run_lie_command,
@@ -30,7 +30,7 @@ _FAMILY = (
 )
 _COMMON = (
     (("--seed",), {"type": int, "default": 0}),
-    (("--budget",), {"type": int, "default": 200_000}),
+    (("--budget",), {"type": int, "default": DEFAULT_BUDGET}),
     (("--cap",), {"type": int, "default": 2}),
     (("--degree-cap",), {"type": int, "default": 3, "dest": "degree_cap"}),
     (("--format",), {"choices": ("json", "text"), "default": "json", "dest": "fmt"}),
@@ -165,7 +165,7 @@ def _dispatch(args):
                 text = fh.read()
         except (OSError, ValueError) as exc:
             raise ParseError(f"cannot read report {args.path}: {exc}") from exc
-        return report_from_json(text)
+        return VerificationReport.from_json(text)
     raise ConfigError(f"unknown command group {args.group!r}")
 
 
@@ -192,7 +192,7 @@ def main(argv=None):
             return 2
     else:
         print(rendered)
-    return 0 if report.verdict in ("pass", "vacuous-pass") else 1
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

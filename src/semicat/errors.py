@@ -3,6 +3,8 @@
 import json
 import time
 
+from . import __version__
+
 
 def _json_data(value):
     """value as JSON data: a record as its ``to_json()``, a tuple as a list."""
@@ -104,23 +106,73 @@ class Check(Record):
         return data
 
 
+_CHECK_FIELD_TYPES = {
+    "name": str, "regime": str, "status": str, "witness": (str, type(None)),
+    "seed": (int, type(None)), "timing_ms": (int, float, type(None)),
+}
+
+
 class VerificationReport(Record):
-    """The checks made on one subject, and the one way to record a check.
+    """The checks made on one subject: the one report type, which the runners
+    fill, the CLI prints and ``report show`` reads back, and the one way to
+    record a check.
 
     ``seed`` is the seed of the run; a check records it only in the sampled
-    regime, the only one it affects.
+    regime, the only one it affects.  ``version`` is the semicat version that
+    wrote the report.  ``to_json`` and ``from_json`` are the report format.
     """
 
-    __slots__ = ("subject", "records", "seed")
+    __slots__ = ("subject", "records", "seed", "version")
 
-    def __init__(self, subject, records=None, seed=None):
+    def __init__(self, subject, records=None, seed=None, version=__version__):
         self.subject = subject
         self.records = [] if records is None else records
         self.seed = seed
+        self.version = version
 
     @property
     def passed(self):
         return all(r.passed for r in self.records)
+
+    @property
+    def verdict(self):
+        if not self.records:
+            return "vacuous-pass"
+        return "pass" if self.passed else "fail"
+
+    def to_json(self, include_timing=False):
+        return {
+            "experiment": self.subject,
+            "records": [r.to_json(include_timing) for r in self.records],
+            "verdict": self.verdict,
+            "version": self.version,
+        }
+
+    @classmethod
+    def from_json(cls, text):
+        """The report that ``to_json`` wrote as JSON ``text``, without the
+        case counts and the run's seed, which the JSON does not carry.
+        Raises ParseError on text that is not such a report."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad report JSON: {exc}") from exc
+        try:
+            report = cls(
+                data["experiment"],
+                [Check(r["name"], r["regime"], r["status"], r.get("witness"),
+                       seed=r.get("seed"), timing_ms=r.get("timing_ms"))
+                 for r in data["records"]],
+                version=data.get("version", __version__))
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"not a report object: {exc!r}") from exc
+        for r in report.records:
+            for field_name, types in _CHECK_FIELD_TYPES.items():
+                value = getattr(r, field_name)
+                if not isinstance(value, types) or isinstance(value, bool):
+                    raise ParseError(
+                        f"record field {field_name!r} has the wrong type: {value!r}")
+        return report
 
     def record(self, name):
         for r in self.records:

@@ -14,8 +14,8 @@ import math
 import random
 import re
 
-from . import __version__
 from .autfunctors import (
+    DEFAULT_BUDGET,
     outer_group_experiment,
     random_semi_inner_data,
     semi_inner_functor,
@@ -23,7 +23,6 @@ from .autfunctors import (
     verify_functor,
 )
 from .errors import (
-    Check,
     ConfigError,
     ParseError,
     Record,
@@ -79,7 +78,7 @@ class ExperimentConfig(Record):
     __slots__ = ("kind", "semiring", "lie", "cap", "degree_cap", "seed", "budget")
 
     def __init__(self, kind, semiring=None, lie=None, cap=2, degree_cap=3, seed=0,
-                 budget=200_000):
+                 budget=DEFAULT_BUDGET):
         self.kind = kind
         self.semiring = semiring
         self.lie = lie
@@ -106,36 +105,11 @@ class ExperimentConfig(Record):
             raise ConfigError(f"{self.kind} needs a semiring file or name")
 
 
-class Report(Record):
-    __slots__ = ("experiment", "records", "version")
-
-    def __init__(self, experiment, records=None, version=__version__):
-        self.experiment = experiment
-        self.records = [] if records is None else records
-        self.version = version
-
-    @property
-    def verdict(self):
-        if not self.records:
-            return "vacuous-pass"
-        if all(r.passed for r in self.records):
-            return "pass"
-        return "fail"
-
-    def to_json(self, include_timing=False):
-        return {
-            "experiment": self.experiment,
-            "records": [r.to_json(include_timing) for r in self.records],
-            "verdict": self.verdict,
-            "version": self.version,
-        }
-
-
 def emit_report(report, fmt="json", include_timing=False):
     if fmt == "json":
         return json.dumps(report.to_json(include_timing), sort_keys=True, indent=2)
     if fmt == "text":
-        lines = [f"experiment: {json.dumps(report.experiment, sort_keys=True)}"]
+        lines = [f"experiment: {json.dumps(report.subject, sort_keys=True)}"]
         width = max((len(r.name) for r in report.records), default=8)
         for r in report.records:
             lines.append(f"  {r.name:<{width}}  {r.regime:<10}  {r.status}")
@@ -146,43 +120,12 @@ def emit_report(report, fmt="json", include_timing=False):
     raise ConfigError(f"unknown format {fmt!r}")
 
 
-_RECORD_FIELD_TYPES = {
-    "name": str, "regime": str, "status": str, "witness": (str, type(None)),
-    "seed": (int, type(None)), "timing_ms": (int, float, type(None)),
-}
-
-
-def report_from_json(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad report JSON: {exc}") from exc
-    try:
-        report = Report(
-            experiment=data["experiment"],
-            records=[
-                Check(name=r["name"], regime=r["regime"], status=r["status"],
-                      witness=r.get("witness"), seed=r.get("seed"),
-                      timing_ms=r.get("timing_ms"))
-                for r in data["records"]],
-            version=data.get("version", __version__))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"not a report object: {exc!r}") from exc
-    for r in report.records:
-        for field_name, types in _RECORD_FIELD_TYPES.items():
-            value = getattr(r, field_name)
-            if not isinstance(value, types) or isinstance(value, bool):
-                raise ParseError(
-                    f"record field {field_name!r} has the wrong type: {value!r}")
-    return report
-
-
 def run_experiment(config):
     """Dispatch a validated config to its module; failures become records."""
     config.validate()
     rec = VerificationReport(config.to_json(), seed=config.seed)
     _RUNNERS[config.kind](config, rec)
-    return Report(experiment=rec.subject, records=rec.records)
+    return rec
 
 
 def _run_validate(config, rec):
@@ -277,6 +220,12 @@ def _run_out_group(config, rec):
     rec.add("no-undecided-pairs", "exhaustive", not report.undecided)
 
 
+def _record_validate(rec, lie, restricted):
+    """The ``validate`` record: dimension, ring and, with a p-map, ``restricted``."""
+    rec.add("validate", "exhaustive", True, witness=f"dim={lie.dim} ring={lie.ring.name}"
+            + (" restricted" if restricted is not None else ""))
+
+
 def _record_restricted_axioms(rec, lie, restricted, seed):
     """With a p-map, the ``restricted-axioms`` record: a pass when
     ``verify_restricted`` raises nothing, else a fail naming its error."""
@@ -318,8 +267,7 @@ def _run_lie_suite(config, rec):
         if free > config.budget:
             raise SearchCapExceeded(
                 f"{free} free monomials to count exceed the budget {config.budget}")
-    rec.add("validate", "exhaustive", True,
-            witness=f"dim={lie.dim} ring={lie.ring.name}")
+    _record_validate(rec, lie, restricted)
     envelope = UniversalEnvelope(lie)
     monomials = [envelope.monomial(exp) for exp in exponents]
     products = [(u, v, u * v) for u in monomials for v in monomials]
@@ -428,7 +376,7 @@ def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
         rec.run("normalize-fixes-injections", "exhaustive", body)
     else:
         raise ConfigError(f"unknown autmorph action {action!r}")
-    return Report(experiment=rec.subject, records=rec.records)
+    return rec
 
 
 def _parse_word(lie, text):
@@ -453,9 +401,7 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
     envelope = UniversalEnvelope(lie, restricted=restricted)
     rec = VerificationReport({**config.to_json(), "action": action}, seed=config.seed)
     if action == "validate":
-        rec.add("validate", "exhaustive", True,
-                witness=f"dim={lie.dim} ring={lie.ring.name}"
-                        + (" restricted" if restricted else ""))
+        _record_validate(rec, lie, restricted)
         _record_restricted_axioms(rec, lie, restricted, config.seed)
     elif action == "mul":
         if left is None or right is None:
@@ -504,4 +450,4 @@ def run_lie_command(action, config, left=None, right=None, gens=1, map_name=None
                 witness={"count": report.unit_count, "units": report.units})
     else:
         raise ConfigError(f"unknown lie action {action!r}")
-    return Report(experiment=rec.subject, records=rec.records)
+    return rec

@@ -21,6 +21,7 @@ import math
 import random
 from fractions import Fraction
 
+from . import __version__
 from ._galois import factor_prime_power, gf_tables
 from .errors import (
     AntisymmetryViolation,
@@ -651,7 +652,7 @@ def _mat_pow_k(K, a, n):
     return out
 
 
-def verify_restricted(lie, restricted, seed=0, samples=12):
+def verify_restricted(lie, restricted, seed=0):
     """Verify the restricted-algebra laws against the stored p-images.
 
     The substantive constraint is the bracket-power law on basis elements;
@@ -659,6 +660,7 @@ def verify_restricted(lie, restricted, seed=0, samples=12):
     sampled inputs and on all ordered basis pairs.  Raises AxiomViolation on
     the first failure; otherwise returns one passed Check per law.
     """
+    samples = 12
     K = lie.ring
     p = restricted.p
     report = VerificationReport(subject=f"p-map over {K.name}", seed=seed)
@@ -765,8 +767,8 @@ class UniversalEnvelope:
         return self.element(
             {_exponents(self.lie.dim, (i,)): c for i, c in vec.items()})
 
-    def monomial(self, exp, coeff=None):
-        return self.element({tuple(exp): coeff if coeff is not None else self.ring.one})
+    def monomial(self, exp):
+        return self.element({tuple(exp): self.ring.one})
 
     def sample_element(self, rng, max_degree=2, terms=2):
         K = self.ring
@@ -1218,8 +1220,7 @@ class EnvelopeSemiMorphism:
         return f"envelope-map<{self.name}>"
 
 
-def lift_semi_automorphism(theta, envelope=None, seed=0, spot_checks=10,
-                           check_degree=2):
+def lift_semi_automorphism(theta, envelope=None, seed=0):
     """Extend a bracket-preserving semilinear bijection of the algebra to the
     envelope, by mapping generator factors and re-straightening.
 
@@ -1245,9 +1246,8 @@ def lift_semi_automorphism(theta, envelope=None, seed=0, spot_checks=10,
         tuple(env.from_vector(img) for img in theta.images),
         name="lifted")
     rng = random.Random(f"{seed}:lift")
-    for _ in range(spot_checks):
-        u = env.sample_element(rng, max_degree=check_degree)
-        v = env.sample_element(rng, max_degree=check_degree)
+    for _ in range(10):
+        u, v = (env.sample_element(rng, max_degree=2) for _ in range(2))
         if lifted.apply(u * v) != lifted.apply(u) * lifted.apply(v):
             raise NotBracketPreserving(
                 (u, v), "lift failed a multiplicativity spot check")
@@ -1351,8 +1351,9 @@ class CyclicUnitsReport(VerificationReport):
 
     __slots__ = ("units",)
 
-    def __init__(self, subject, records=None, seed=None, units=None):
-        super().__init__(subject, records, seed)
+    def __init__(self, subject, records=None, seed=None, version=__version__,
+                 units=None):
+        super().__init__(subject, records, seed, version)
         self.units = [] if units is None else units
 
     @property
@@ -1360,13 +1361,14 @@ class CyclicUnitsReport(VerificationReport):
         return len(self.units)
 
 
-def cyclic_aut_check(envelope, degree_cap, seed=0, scan_bound=8, samples=25):
+def cyclic_aut_check(envelope, degree_cap, seed=0):
     """Characterize the invertible 1x1 matrices over the truncated envelope.
 
     The invertible scalars must be exactly the units of the coefficient ring
     embedded in degree zero; sampled positive-degree elements must fail the
     unit test, and a direct product sweep re-refutes a degree-one candidate.
     """
+    scan_bound, samples = 8, 25
     K = envelope.ring
     report = CyclicUnitsReport(subject=K.name, seed=seed)
     if K.is_finite:

@@ -21,12 +21,10 @@ from semicat.errors import Check, ConfigError, SemicatError, VerificationReport
 from semicat.harness import (
     MAX_DEGREE_CAP,
     ExperimentConfig,
-    Report,
     _parse_word,
     check_recovered_twist,
     emit_report,
     load_lie,
-    report_from_json,
     run_experiment,
     run_lie_command,
 )
@@ -149,14 +147,43 @@ def test_unit_scalars_over_a_finite_ring_are_exhaustive():
     assert sampled and all(r.seed == 0 for r in sampled)
 
 
+# one argv per report shape: the subject keys each action adds, and the
+# records that CyclicUnitsReport passes through ``extend``
+_REPORT_SHAPES = (
+    ["ibn", "classify", "--semiring", "boolean", "--cap", "3"],
+    ["autmorph", "extract", "--semiring", "gf:4", "--sigma", "1", "--random-family"],
+    ["autmorph", "normalize", "--semiring", "zmod:4", "--random-family"],
+    ["lie", "mul", "--file", "sl2:Q", "--left", "e,h", "--right", "f"],
+    ["lie", "basis", "--file", "sl2:Q", "--gens", "2"],
+    ["lie", "units", "--file", "sl2:zmod:5"],
+)
+
+
 def test_report_round_trip():
-    report = run_experiment(config("ibn", semiring="boolean", cap=3))
-    text = emit_report(report)
-    assert emit_report(report_from_json(text)) == text
+    for argv in _REPORT_SHAPES:
+        report = cli._dispatch(cli._parse_plain(argv))
+        for fmt, include_timing in (("json", False), ("json", True), ("text", False)):
+            text = emit_report(report, fmt, include_timing)
+            back = VerificationReport.from_json(emit_report(report, "json", include_timing))
+            assert emit_report(back, fmt, include_timing) == text, (argv, fmt)
+
+
+def test_report_show_names_the_parse_error(tmp_path, capsys):
+    not_json, a_list = tmp_path / "not-json.json", tmp_path / "list.json"
+    not_json.write_text("{not json")
+    a_list.write_text("[1, 2]")
+    assert cli.main(["report", "show", str(not_json)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad report JSON: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)\n")
+    assert cli.main(["report", "show", str(a_list)]) == 2
+    assert capsys.readouterr().err == (
+        "error: not a report object: "
+        "TypeError('list indices must be integers or slices, not str')\n")
 
 
 def test_vacuous_pass():
-    empty = Report(experiment={"kind": "none"})
+    empty = VerificationReport({"kind": "none"})
     assert empty.verdict == "vacuous-pass"
     data = json.loads(emit_report(empty))
     assert data["verdict"] == "vacuous-pass"
@@ -165,7 +192,7 @@ def test_vacuous_pass():
 def test_timing_excluded_by_default():
     record = Check(name="n", regime="exhaustive", status="pass",
                    timing_ms=12.5)
-    report = Report(experiment={}, records=[record])
+    report = VerificationReport({}, [record])
     assert "timing_ms" not in emit_report(report)
     assert "timing_ms" in emit_report(report, include_timing=True)
 
@@ -529,7 +556,6 @@ def test_records_never_share_a_list():
     first, second = VerificationReport("x"), VerificationReport("x")
     first.records.append(Check("c", "exhaustive", "pass"))
     assert second.records == [] and first.records is not second.records
-    assert Report({}).records is not Report({}).records
     one, two = S.AutomorphismGroups(), S.AutomorphismGroups()
     for name in ("aut", "inn", "out_reps"):
         assert getattr(one, name) == [] and getattr(one, name) is not getattr(two, name)
@@ -555,15 +581,16 @@ def test_verify_report_survives_a_json_round_trip():
     report = cli._dispatch(cli._parse_plain(["autmorph", "verify", "--semiring", "gf:3"]))
     assert report.records and all(r.checked > 0 for r in report.records)
     for include_timing in (False, True):
-        back = report_from_json(emit_report(report, include_timing=include_timing))
+        back = VerificationReport.from_json(
+            emit_report(report, include_timing=include_timing))
         # the JSON carries every field but the case count, and the timings
         # only when asked for
-        assert back == Report(
-            report.experiment,
+        assert back == VerificationReport(
+            report.subject,
             [Check(r.name, r.regime, r.status, r.witness, seed=r.seed,
                    timing_ms=r.timing_ms if include_timing else None)
              for r in report.records],
-            report.version)
+            version=report.version)
         assert emit_report(back) == emit_report(report)
 
 
@@ -828,6 +855,15 @@ def test_lie_validate_on_a_restricted_file(tmp_path):
     assert report.records[0].witness == "dim=3 ring=zmod:5 restricted"
     assert report.records[1].seed == 4
     assert report.verdict == "pass"
+
+
+def test_lie_validate_and_suite_describe_a_restricted_file_alike(tmp_path):
+    path = tmp_path / "sl2-restricted.json"
+    path.write_text(json.dumps(_RESTRICTED_SL2))
+    validated = run_lie_command("validate", config("lie-suite", lie=str(path)))
+    suite = run_experiment(config("lie-suite", lie=str(path)))
+    assert suite.record("validate") == validated.record("validate")
+    assert suite.record("validate").witness == "dim=3 ring=zmod:5 restricted"
 
 
 def test_lie_basis_on_a_restricted_file_drops_p_powers(tmp_path):
