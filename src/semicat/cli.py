@@ -175,7 +175,7 @@ def main(argv=None):
     if args is None:
         parser = build_parser(argv)
         args = parser.parse_args(argv)
-        if [] in vars(args).values():  # argparse before 3.12 reads --flag=-- as []
+        if [] in vars(args).values():  # argparse before 3.13 reads --flag=-- as []
             parser.error("expected one argument, not '--'")
     try:
         report = _dispatch(args)

@@ -56,9 +56,9 @@ from .semirings import (
     automorphism_groups,
     check_axioms_on_sample,
     find_axiom_witness,
+    identity_automorphism,
     load_semiring,
     read_semiring_file,
-    units_of,
 )
 
 # Work the budget does not count grows with the caps: the functor flows build
@@ -179,7 +179,7 @@ def _run_aut_groups(config, rec):
         a.inverted().then(i).then(a).perm in inner_perms
         for a in groups.aut for i in groups.inn)
     rec.add("inner-normality", "exhaustive", normal)
-    units = units_of(semiring)
+    units = semiring.unit_elements()
     units_closed = all(
         semiring.mul(u, v) in units for u in units for v in units)
     units_inverses = all(semiring.try_unit_inverse(u) in units for u in units)
@@ -190,25 +190,17 @@ def _run_functor_verify(config, rec):
     semiring = load_semiring(config.semiring)
     if semiring.is_finite:
         groups = automorphism_groups(semiring)
-        for idx, sigma in enumerate(groups.aut):
-            functor = semi_inner_functor(skew_inner_functor(sigma, config.cap))
-            rec.extend(
-                f"skew[{idx}]",
-                verify_functor(functor, budget=config.budget, seed=config.seed).records)
+        functor_data = [(f"skew[{idx}]", skew_inner_functor(sigma, config.cap))
+                        for idx, sigma in enumerate(groups.aut)]
         rng = random.Random(f"{config.seed}:semi-inner")
-        data = random_semi_inner_data(semiring, config.cap, rng, groups)
-        rec.extend(
-            "semi-inner",
-            verify_functor(semi_inner_functor(data), budget=config.budget,
-                           seed=config.seed).records)
+        functor_data.append(("semi-inner", random_semi_inner_data(
+            semiring, config.cap, rng, groups)))
     else:
-        from .semirings import identity_automorphism
-
-        functor = semi_inner_functor(
-            skew_inner_functor(identity_automorphism(semiring), config.cap))
-        rec.extend(
-            "skew[id]",
-            verify_functor(functor, budget=config.budget, seed=config.seed).records)
+        functor_data = [("skew[id]", skew_inner_functor(
+            identity_automorphism(semiring), config.cap))]
+    for prefix, data in functor_data:
+        rec.extend(prefix, verify_functor(
+            semi_inner_functor(data), budget=config.budget, seed=config.seed).records)
 
 
 def _run_out_group(config, rec):

@@ -173,7 +173,7 @@ def _column_major_matrices(R, rows, cols):
             tuple(flat[j * rows + i] for j in range(cols)) for i in range(rows))
 
 
-def classify_type(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):
+def classify_type(semiring, cap, shortcut=True):
     """Scan (n, n+h) pairs in lexicographic (n, h) order up to the rank cap."""
     if cap < 2:
         raise UnsupportedCarrier("classification needs cap >= 2")
@@ -189,7 +189,7 @@ def classify_type(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):
     refuted = []
     for n in range(1, cap):
         for h in range(1, cap - n + 1):
-            witness = free_iso_witness(R, n, n + h, search_cap, shortcut)
+            witness = free_iso_witness(R, n, n + h, shortcut=shortcut)
             if witness is not None:
                 a, b = witness
                 if not (a.then(b).is_identity() and b.then(a).is_identity()):
@@ -218,9 +218,9 @@ class LeftRightReport(Record):
         return self.left.cap == self.right.cap
 
 
-def left_right_ibn_agree(semiring, cap, search_cap=DEFAULT_PAIR_CAP, shortcut=True):
+def left_right_ibn_agree(semiring, cap):
     """Classify over R and over its opposite; the classifications must agree."""
-    left = classify_type(semiring, cap, search_cap, shortcut)
-    right = classify_type(opposite_semiring(semiring), cap, search_cap, shortcut)
+    left = classify_type(semiring, cap)
+    right = classify_type(opposite_semiring(semiring), cap)
     return LeftRightReport(left=left, right=right)
 

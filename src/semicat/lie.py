@@ -323,7 +323,7 @@ def _accumulate(K, out, terms, c=None):
     ``terms``, dropping every key whose sum is zero; returns ``out``."""
     for key, x in terms:
         s = K.add(out.get(key, K.zero), x if c is None else K.mul(c, x))
-        if s == K.zero:  # Semiring.eq, which no coefficient ring overrides
+        if s == K.zero:
             out.pop(key, None)
         else:
             out[key] = s
@@ -373,7 +373,7 @@ def vec_scale(K, c, u):
 
 
 def clean_vector(K, u):
-    return {i: c for i, c in u.items() if not K.eq(c, K.zero)}
+    return {i: c for i, c in u.items() if c != K.zero}
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +781,7 @@ class UniversalEnvelope:
                 continue
             exp = _exponents(self.lie.dim, word)
             c = K.sample_element(rng)
-            if not K.eq(c, K.zero):
+            if c != K.zero:
                 out[exp] = K.add(out.get(exp, K.zero), c)
         return self.element(out)
 
@@ -1086,46 +1086,6 @@ def multiset_count(dim, degree):
     return math.comb(dim + degree - 1, degree)
 
 
-class FreeLieModuleElement:
-    """Element of a free module over the envelope: coefficients indexed by
-    (generator, exponent vector) pairs."""
-
-    def __init__(self, envelope, generators, data):
-        self.envelope = envelope
-        self.generators = tuple(generators)
-        self.data = _accumulate(envelope.ring, {}, data.items())
-
-    def __add__(self, other):
-        return FreeLieModuleElement(self.envelope, self.generators, _accumulate(
-            self.envelope.ring, dict(self.data), other.data.items()))
-
-    def scale(self, c):
-        K = self.envelope.ring
-        return FreeLieModuleElement(
-            self.envelope, self.generators,
-            {key: K.mul(c, x) for key, x in self.data.items()})
-
-    def act(self, u):
-        """Left action of an envelope element."""
-        out = {}
-        for (gen, exp), c in self.data.items():
-            product = u * self.envelope.monomial(exp)
-            terms = (((gen, exp2), c2) for exp2, c2 in product.coeffs.items())
-            _accumulate(self.envelope.ring, out, terms, c)
-        return FreeLieModuleElement(self.envelope, self.generators, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeLieModuleElement)
-            and self.envelope == other.envelope
-            and self.generators == other.generators
-            and self.data == other.data
-        )
-
-    def __repr__(self):
-        return f"module-elt{sorted(self.data.items())}"
-
-
 # ---------------------------------------------------------------------------
 # semi-morphisms and lifting
 
@@ -1385,7 +1345,7 @@ def cyclic_aut_check(envelope, degree_cap, seed=0):
         rng0 = random.Random(f"{seed}:qunits")
         units = []
         ok = all(
-            is_unit(envelope.scalar(c)) == (not K.eq(c, K.zero))
+            is_unit(envelope.scalar(c)) == (c != K.zero)
             for c in (K.sample_element(rng0) for _ in range(samples)))
         report.add("unit-scalars(K*)", "sampled", ok)
 

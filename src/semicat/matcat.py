@@ -321,7 +321,7 @@ def _try_monomial_inverse(m):
     position = [None] * n
     seen_cols = set()
     for i in range(n):
-        nonzero = [j for j in range(n) if not R.eq(m.entries[i][j], zero)]
+        nonzero = [j for j in range(n) if m.entries[i][j] != zero]
         if len(nonzero) != 1 or nonzero[0] in seen_cols:
             return None
         j = nonzero[0]

@@ -71,9 +71,6 @@ class Semiring:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def eq(self, a, b):
-        return a == b
-
     def sum(self, values):
         out = self.zero
         for v in values:
@@ -399,7 +396,7 @@ def galois_semiring(q):
     return FiniteSemiring(add, mul, 0, 1, f"gf:{q}")
 
 
-def product_semiring(left, right, name=None):
+def product_semiring(left, right):
     """Componentwise product of two finite semirings; pairs encoded as indices.
 
     A product of semirings is a semiring, so its tables are not re-checked.
@@ -425,7 +422,7 @@ def product_semiring(left, right, name=None):
                     mul[enc(a1, b1)][enc(a2, b2)] = enc(left.mul(a1, a2), right.mul(b1, b2))
     return FiniteSemiring(
         add, mul, enc(left.zero, right.zero), enc(left.one, right.one),
-        name or f"{left.name}x{right.name}")
+        f"{left.name}x{right.name}")
 
 
 def load_semiring(spec):
@@ -451,7 +448,7 @@ def load_semiring(spec):
         except ValueError as exc:
             raise ParseError(f"bad field order in {spec!r}") from exc
     if os.path.exists(spec):
-        return semiring_from_file(spec)
+        return validate_semiring(*read_semiring_file(spec))
     raise ParseError(f"unknown semiring {spec!r} (not a built-in name or a file)")
 
 
@@ -484,17 +481,8 @@ def read_semiring_file(path):
     return (*tables, data.get("name", "custom"))
 
 
-def semiring_from_file(path):
-    return validate_semiring(*read_semiring_file(path))
-
-
 # ---------------------------------------------------------------------------
 # units, opposites, automorphisms
-
-
-def units_of(semiring):
-    """All two-sided units.  Finite carriers are searched exhaustively."""
-    return list(semiring.unit_elements())
 
 
 def opposite_semiring(semiring):

@@ -16,8 +16,6 @@ ALLOWED = {
                           "to all free objects; tests/test_matcat.py checks it",
     "product_semiring": "builds the product carriers, such as zmod:2 x zmod:2, "
                         "that the automorphism and functor tests run on",
-    "FreeLieModuleElement": "elements of the free modules over U(L) that the "
-                            "paper's semi-inner automorphisms act on",
 }
 
 

@@ -140,18 +140,18 @@ def test_tropical_distributivity_property(a, b, c):
 
 
 def test_units():
-    assert S.units_of(S.boolean_semiring()) == [1]
-    assert S.units_of(S.zmod_semiring(4)) == [1, 3]
-    assert S.units_of(S.NaturalsSemiring()) == [1]
-    assert sorted(S.units_of(S.IntegersSemiring())) == [-1, 1]
-    assert S.units_of(S.trivial_semiring()) == [0]
+    assert S.boolean_semiring().unit_elements() == [1]
+    assert S.zmod_semiring(4).unit_elements() == [1, 3]
+    assert S.NaturalsSemiring().unit_elements() == [1]
+    assert sorted(S.IntegersSemiring().unit_elements()) == [-1, 1]
+    assert S.trivial_semiring().unit_elements() == [0]
     with pytest.raises(UnsupportedCarrier):
-        S.units_of(S.TropicalSemiring())
+        S.TropicalSemiring().unit_elements()
 
 
 def test_units_form_group_on_finite_catalog():
     for semiring in catalog_finite() + [upper_triangular_boolean()]:
-        units = set(S.units_of(semiring))
+        units = set(semiring.unit_elements())
         for u in units:
             assert semiring.try_unit_inverse(u) in units
             for v in units:
@@ -197,7 +197,7 @@ def test_galois_tables_are_fields():
     # and p-fold sums of one vanish is the field of that order
     for q, p in ((4, 2), (8, 2), (9, 3)):
         gf = S.galois_semiring(q)
-        units = S.units_of(gf)
+        units = gf.unit_elements()
         assert sorted(units) == list(range(1, q))
         for x in range(q):
             acc = 0
@@ -327,6 +327,16 @@ def test_load_builtins_and_errors():
         S.load_semiring("zmod:x")
     with pytest.raises(ParseError):
         S.load_semiring("no-such-semiring")
+
+
+def test_load_semiring_gates_a_file_on_the_axioms(tmp_path):
+    broken = S.boolean_semiring().to_json()
+    broken["add"][0][0] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(broken))
+    with pytest.raises(AxiomViolation) as exc:
+        S.load_semiring(str(path))
+    assert (exc.value.axiom, exc.value.witness) == ("zero-identity", (0,))
 
 
 def test_parse_error_names_missing_field(tmp_path):
