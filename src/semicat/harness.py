@@ -16,6 +16,8 @@ import re
 
 from .autfunctors import (
     DEFAULT_BUDGET,
+    extract_sigma,
+    normalize_injections,
     outer_group_experiment,
     random_semi_inner_data,
     semi_inner_functor,
@@ -333,8 +335,6 @@ def check_recovered_twist(recovered, sigma, inn):
 
 def run_autmorph_flow(action, config, sigma_index=0, random_family=False):
     """extract / normalize round-trip flows on constructed functors."""
-    from .autfunctors import extract_sigma, normalize_injections
-
     config.validate()
     semiring = load_semiring(config.semiring)
     groups = automorphism_groups(semiring)

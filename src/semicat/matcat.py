@@ -98,16 +98,13 @@ class Morphism:
         if self.dom != other.dom or self.cod != other.cod:
             raise DimensionMismatch(f"cannot add {self} and {other}")
         R = self.semiring
-        entries = tuple(
-            tuple(R.add(a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries))
-        return _trusted(R, self.dom, self.cod, entries)
+        return _trusted(R, self.dom, self.cod, _mat_add(R, self.entries, other.entries))
 
     def map_entries(self, fn):
         """Apply a carrier map entrywise (same semiring, same shape)."""
         return _trusted(
             self.semiring, self.dom, self.cod,
-            tuple(tuple(fn(e) for e in row) for row in self.entries))
+            tuple([tuple(map(fn, row)) for row in self.entries]))
 
     def act(self, vector):
         """Row-vector action: a |-> a @ A."""
@@ -189,6 +186,19 @@ def _mat_mul(R, a_entries, b_entries, cod_rank):
             new_row.append(acc)
         out.append(tuple(new_row))
     return tuple(out)
+
+
+def _mat_add(R, a_entries, b_entries):
+    """The entrywise sum a + b, indexing ``add_table`` when the carrier has
+    one and calling ``R.add`` otherwise."""
+    add_table = getattr(R, "add_table", None)
+    if add_table is not None:
+        row_of = add_table.__getitem__
+        return tuple([
+            tuple(map(operator.getitem, map(row_of, ra), rb))
+            for ra, rb in zip(a_entries, b_entries)])
+    add = R.add
+    return tuple([tuple(map(add, ra, rb)) for ra, rb in zip(a_entries, b_entries)])
 
 
 def _identity_entries(R, n):
@@ -301,7 +311,7 @@ def enumerate_morphisms(semiring, n, m, dom=None, cod=None):
         yield zero_morphism(semiring, dom, cod)
         return
     for flat in itertools.product(elements, repeat=n * m):
-        entries = tuple(flat[i * m:(i + 1) * m] for i in range(n))
+        entries = tuple([flat[i * m:(i + 1) * m] for i in range(n)])
         yield _trusted(semiring, dom, cod, entries)
 
 
@@ -431,6 +441,8 @@ class IsoFamily:
     rank-0 object the family does not cover conjugates through the unique
     empty morphism to F0.  ``inverses``, keyed like ``assignments``, are
     taken as given; without them each inverse is found with ``invert``.
+    A covered object whose component is its own identity is not multiplied
+    through: conjugation skips that side's product.
     """
 
     def __init__(self, assignments, inverses=None, require_canonical_identity=False):
@@ -445,6 +457,9 @@ class IsoFamily:
             if require_canonical_identity and obj.is_canonical and not morphism.is_identity():
                 raise MissingIso(f"canonical object {obj} must carry the identity")
             self._pairs[obj] = (morphism, inv)
+        self._fixed = frozenset(
+            obj for obj, (t, _) in self._pairs.items()
+            if t.cod == obj and t.is_identity())
 
     @classmethod
     def identities(cls, semiring, objects):
@@ -478,16 +493,21 @@ class IsoFamily:
 
     def conjugate(self, f):
         """t_A^-1 ; f ; t_B for f: A -> B."""
-        _, dom_inv = self._pair(f.dom, f.semiring)
-        cod_iso, _ = self._pair(f.cod, f.semiring)
-        return dom_inv.then(f).then(cod_iso)
+        dom, cod = f.dom, f.cod
+        if dom not in self._fixed:
+            f = self._pair(dom, f.semiring)[1].then(f)
+        if cod not in self._fixed:
+            f = f.then(self._pair(cod, f.semiring)[0])
+        return f
 
     def unconjugate(self, g, dom, cod):
         """t_A ; g ; t_B^-1 for the endpoints A = dom, B = cod of the original
         morphism, so that ``unconjugate(conjugate(f), f.dom, f.cod) == f``."""
-        dom_iso, _ = self._pair(dom, g.semiring)
-        _, cod_inv = self._pair(cod, g.semiring)
-        return dom_iso.then(g).then(cod_inv)
+        if dom not in self._fixed:
+            g = self._pair(dom, g.semiring)[0].then(g)
+        if cod not in self._fixed:
+            g = g.then(self._pair(cod, g.semiring)[1])
+        return g
 
     def square_commutes(self, base_image, target_image):
         """base(f) ; t_B == t_A ; target(f) for f: A -> B."""
@@ -525,8 +545,10 @@ class BlackBoxFunctor:
 
     def on_morphism(self, m):
         image = self.morphism_action(m)
-        expected_dom = self.on_object(m.dom)
-        expected_cod = self.on_object(m.cod)
+        if self.object_action is None:  # every object stays put
+            expected_dom, expected_cod = m.dom, m.cod
+        else:
+            expected_dom, expected_cod = self.on_object(m.dom), self.on_object(m.cod)
         if image.dom != expected_dom or image.cod != expected_cod:
             raise DimensionMismatch(
                 f"{self.name} sent {m.dom}->{m.cod} to {image.dom}->{image.cod}")

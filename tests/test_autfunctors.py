@@ -195,6 +195,35 @@ def test_linear_certificate_agrees_with_pairwise_oracle():
             assert certified == pairwise_laws_hold(functor), (semiring.name, functor.name)
 
 
+@pytest.mark.parametrize(("semiring", "cap"), [
+    (B, 2), (S.zmod_semiring(2), 2), (B, 3)], ids=["boolean-2", "zmod:2-2", "boolean-3"])
+def test_prefix_sum_certificate_catches_a_poisoned_carry_point(semiring, cap):
+    """The certificate keeps prefix sums along the odometer order of
+    ``enumerate_morphisms``; a wrong image at its first step, its last step
+    or the step that carries into entry 0 (and so rebuilds every partial
+    sum) must each be caught, as the pairwise sweep catches it."""
+    base = A.semi_inner_functor(A.random_semi_inner_data(semiring, cap, random.Random(5)))
+    assert A.linear_certificate(base) is not None
+    order = list(M.enumerate_morphisms(semiring, cap, cap))
+    carry = order[semiring.size ** (cap * cap - 1)]
+    assert carry.entries[0][0] != order[0].entries[0][0]
+    assert carry.entries[0][1:] == order[0].entries[0][1:]
+    for poison in (order[0], order[-1], carry):
+
+        def poisoned(f, poison=poison):
+            image = base.on_morphism(f)
+            if f != poison:
+                return image
+            head = image.entries[0][0]
+            moved = semiring.one if head == semiring.zero else semiring.zero
+            return M.Morphism(semiring, image.dom, image.cod,
+                              ((moved,) + image.entries[0][1:],) + image.entries[1:])
+
+        functor = M.BlackBoxFunctor(semiring, poisoned, cap=cap, name="poisoned")
+        assert A.linear_certificate(functor) is None, poison
+        assert not pairwise_laws_hold(functor), poison
+
+
 def _law_records(report):
     return [report.record(name) for name in
             ("addition-preservation", "composition-preservation")]

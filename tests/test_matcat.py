@@ -291,6 +291,48 @@ def test_iso_family_conjugation_round_trips():
                 M.identity(semiring, 2), M.canonical(2), M.canonical(2))
 
 
+def test_iso_family_identity_components_match_the_explicit_product():
+    """Conjugation skips identity components; the results must still equal
+    t_A^-1 ; f ; t_B and t_A ; g ; t_B^-1 multiplied out with ``then``."""
+    rng = random.Random(13)
+    a1 = M.FreeObject(1, "A1")
+    for semiring in catalog_finite():
+        f0 = M.canonical(0)
+
+        def pair(family, obj, R=semiring):
+            if obj in family.objects():
+                return family.component(obj), family.inverse(obj)
+            assert obj.rank == 0  # uncovered: the empty morphisms to and from F0
+            return M.Morphism(R, obj, f0, ()), M.Morphism(R, f0, obj, ())
+
+        # identity at rank 1, a random invertible at rank 2, rank 0 uncovered
+        mixed = M.IsoFamily({
+            1: M.identity(semiring, 1), 2: M.random_invertible(semiring, 2, rng)[0]})
+        # identity entries, but onto another object: the label must change
+        relabel = M.IsoFamily({
+            a1: M.Morphism(semiring, a1, M.canonical(1), ((semiring.one,),)),
+            1: M.identity(semiring, 1), 2: M.identity(semiring, 2)})
+        canonical_shapes = all_shape_morphisms(semiring, 2, include_zero_rank=True)
+        labeled = []  # the same matrices with A1 at a rank-1 end, or both
+        for f in canonical_shapes:
+            doms = [f.dom] + [a1] * (f.dom.rank == 1)
+            cods = [f.cod] + [a1] * (f.cod.rank == 1)
+            labeled += [M.Morphism(semiring, dom, cod, f.entries)
+                        for dom in doms for cod in cods if a1 in (dom, cod)]
+        for family, morphisms in ((mixed, canonical_shapes),
+                                  (relabel, canonical_shapes + labeled)):
+            for f in morphisms:
+                t_dom, t_dom_inv = pair(family, f.dom)
+                t_cod, t_cod_inv = pair(family, f.cod)
+                g = family.conjugate(f)
+                assert g == t_dom_inv.then(f).then(t_cod)
+                assert family.unconjugate(g, f.dom, f.cod) == t_dom.then(g).then(t_cod_inv)
+                assert family.unconjugate(g, f.dom, f.cod) == f
+                if a1 in (f.dom, f.cod):
+                    assert g is not f and g != f
+                    assert a1 not in (g.dom, g.cod)
+
+
 def _labeled_setup(semiring, rng):
     objects = [
         M.FreeObject(1, "A1"), M.FreeObject(2, "A2"),
