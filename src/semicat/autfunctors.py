@@ -86,8 +86,7 @@ def semi_inner_functor(data):
     """Materialize the functor of a SemiInnerData; every T_n must invert."""
     family = IsoFamily({n: data.component(n) for n in range(data.cap + 1)})
     sigma = data.sigma
-    # a MapAutomorphism has no is_identity: a black-box map is never taken for one
-    if getattr(sigma, "is_identity", False):
+    if sigma.is_identity:
         action = family.conjugate
     else:
         def action(f):
@@ -403,8 +402,9 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0):
     shapes = [((n, m),) for n in range(1, functor.cap + 1)
               for m in range(1, functor.cap + 1)]
     _, sweep = _morphism_sweep(R, shapes, budget, seed, tag="extract-agree")
+    identity_twist = sigma.is_identity
     for (f,) in sweep:
-        if functor.on_morphism(f) != f.map_entries(sigma.apply):
+        if functor.on_morphism(f) != (f if identity_twist else f.map_entries(sigma.apply)):
             raise NotAnAutomorphism(
                 f"extracted carrier map does not reproduce the functor at {f!r}")
     return sigma

@@ -443,6 +443,14 @@ class IsoFamily:
     taken as given; without them each inverse is found with ``invert``.
     A covered object whose component is its own identity is not multiplied
     through: conjugation skips that side's product.
+
+    Every other product with a covered component is a lookup.  As the left
+    factor, t (t_A or t_A^-1) maps each column c of the morphism to t.c; as
+    the right factor, it maps each row r to r.t.  Each (object, factor, side)
+    keeps a dict from column or row tuple to its product, filled through
+    ``_mat_mul`` on first use.  The keys are vectors of one fixed length, the
+    rank of a side of t, so over a finite carrier R a dict holds at most
+    |R|^rank entries however long the sweep; it lives as long as the family.
     """
 
     def __init__(self, assignments, inverses=None, require_canonical_identity=False):
@@ -460,6 +468,8 @@ class IsoFamily:
         self._fixed = frozenset(
             obj for obj, (t, _) in self._pairs.items()
             if t.cod == obj and t.is_identity())
+        self._memo = {(obj, index, left): {} for obj in self._pairs
+                      for index in (0, 1) for left in (True, False)}
 
     @classmethod
     def identities(cls, semiring, objects):
@@ -491,22 +501,51 @@ class IsoFamily:
                     Morphism(semiring, canonical(0), obj, ()))
         raise MissingIso(f"no isomorphism assigned to {obj}")
 
+    def _act(self, f, obj, index, left):
+        """t ; f if ``left`` else f ; t, for t = ``_pair(obj)[index]``, with
+        the checks of ``then`` and the products looked up in the memo."""
+        pair = self._pairs.get(obj)
+        if pair is None:
+            t = self._pair(obj, f.semiring)[index]
+            return t.then(f) if left else f.then(t)
+        t = pair[index]
+        R = f.semiring
+        if R is not t.semiring and R != t.semiring:
+            raise SemiringMismatch(f"{t.semiring.name} vs {R.name}")
+        if (t.cod != f.dom) if left else (f.cod != t.dom):
+            raise DimensionMismatch(f"cannot compose {t} with {f}")
+        memo = self._memo[obj, index, left]
+        # t ; f sends each column c of f to t.c, and f ; t each row r to r.t
+        vectors = (tuple(zip(*f.entries)) or ((),) * f.cod.rank) if left else f.entries
+        try:
+            products = tuple(map(memo.__getitem__, vectors))
+        except KeyError:  # multiply out each vector not seen yet, once
+            for v in set(vectors).difference(memo):
+                if left:
+                    memo[v] = tuple(row[0] for row in _mat_mul(R, t.entries, tuple(zip(v)), 1))
+                else:
+                    memo[v] = _mat_mul(R, (v,), t.entries, t.cod.rank)[0]
+            products = tuple(map(memo.__getitem__, vectors))
+        if left:
+            return _trusted(R, t.dom, f.cod, tuple(zip(*products)) or ((),) * t.dom.rank)
+        return _trusted(R, f.dom, t.cod, products)
+
     def conjugate(self, f):
         """t_A^-1 ; f ; t_B for f: A -> B."""
         dom, cod = f.dom, f.cod
         if dom not in self._fixed:
-            f = self._pair(dom, f.semiring)[1].then(f)
+            f = self._act(f, dom, 1, True)
         if cod not in self._fixed:
-            f = f.then(self._pair(cod, f.semiring)[0])
+            f = self._act(f, cod, 0, False)
         return f
 
     def unconjugate(self, g, dom, cod):
         """t_A ; g ; t_B^-1 for the endpoints A = dom, B = cod of the original
         morphism, so that ``unconjugate(conjugate(f), f.dom, f.cod) == f``."""
         if dom not in self._fixed:
-            g = self._pair(dom, g.semiring)[0].then(g)
+            g = self._act(g, dom, 0, True)
         if cod not in self._fixed:
-            g = g.then(self._pair(cod, g.semiring)[1])
+            g = self._act(g, cod, 1, False)
         return g
 
     def square_commutes(self, base_image, target_image):

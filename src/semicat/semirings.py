@@ -550,8 +550,11 @@ class MapAutomorphism:
     """Named carrier map for built-in infinite semirings (or sampled carriers).
 
     Bijectivity cannot be certified by enumeration here; homomorphism laws are
-    the caller's responsibility (checked on samples where used).
+    the caller's responsibility (checked on samples where used).  A map is
+    never taken for the identity unless ``identity_automorphism`` made it.
     """
+
+    is_identity = False
 
     def __init__(self, semiring, func, inverse_func=None, name="map"):
         self.semiring = semiring
@@ -583,7 +586,9 @@ def identity_automorphism(semiring):
     """A permutation on a Cayley-table carrier, the identity map otherwise."""
     if isinstance(semiring, FiniteSemiring):
         return PermutationAutomorphism(semiring, range(semiring.size))
-    return MapAutomorphism(semiring, lambda x: x, lambda x: x, name="id")
+    sigma = MapAutomorphism(semiring, lambda x: x, lambda x: x, name="id")
+    sigma.is_identity = True
+    return sigma
 
 
 def is_semiring_automorphism(semiring, perm):

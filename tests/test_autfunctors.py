@@ -385,6 +385,38 @@ def test_extract_sigma_rejects_non_bijective_scalar_action():
         A.extract_sigma(functor)
 
 
+def test_extract_sigma_checks_an_identity_twist_against_the_morphism_itself():
+    from semicat.errors import NotAnAutomorphism
+
+    # not an injection, and every entry is fixed by the identity twist
+    full = M.from_entries(F4, [[1, 1], [1, 1]])
+
+    def almost_identity(f):
+        return M.zero_morphism(F4, f.dom, f.cod) if f == full else f
+
+    functor = M.BlackBoxFunctor(F4, almost_identity, cap=2, name="almost-identity")
+    with pytest.raises(NotAnAutomorphism, match="does not reproduce"):
+        A.extract_sigma(functor)
+    assert A.extract_sigma(M.identity_functor(F4, cap=2)).is_identity
+
+
+def test_identity_map_automorphism_is_not_applied():
+    tropical = S.TropicalSemiring()
+    sigma = S.identity_automorphism(tropical)
+    assert sigma.is_identity
+    assert not sigma.then(sigma).is_identity
+    assert not S.MapAutomorphism(tropical, lambda x: x).is_identity
+    calls = []
+    sigma.func = lambda x: calls.append(x) or x
+    functor = skew(sigma)
+    rng = random.Random(4)
+    for n, m in itertools.product((1, 2), repeat=2):
+        for _ in range(10):
+            f = M.random_morphism(tropical, n, m, rng)
+            assert functor.on_morphism(f) == f
+    assert calls == []
+
+
 def test_normalize_rejects_non_additive_box():
     from semicat.errors import NonInvertibleStack
 

@@ -333,6 +333,45 @@ def test_iso_family_identity_components_match_the_explicit_product():
                     assert a1 not in (g.dom, g.cod)
 
 
+def test_iso_family_memoized_products_match_the_explicit_product():
+    """Random invertible components, conjugated through the row and column
+    memo: every result, memo miss or hit, equals the product multiplied out
+    with ``then``, on commutative and noncommutative carriers alike."""
+    rng = random.Random(14)
+    for semiring in catalog_finite() + [upper_triangular_boolean(), matrix_ring_f2()]:
+        family = M.IsoFamily({
+            n: M.random_invertible(semiring, n, rng)[0] for n in (1, 2)})
+
+        def pair(obj, R=semiring, family=family):
+            if obj.rank == 0:  # uncovered F0: the empty morphism, both ways
+                return (M.Morphism(R, obj, obj, ()),) * 2
+            return family.component(obj), family.inverse(obj)
+
+        # each morphism twice: the second pass reads every product from the memo
+        for f in all_shape_morphisms(semiring, 2, include_zero_rank=True) * 2:
+            (t_dom, t_dom_inv), (t_cod, t_cod_inv) = pair(f.dom), pair(f.cod)
+            g = family.conjugate(f)
+            assert g == t_dom_inv.then(f).then(t_cod)
+            back = family.unconjugate(g, f.dom, f.cod)
+            assert back == t_dom.then(g).then(t_cod_inv) == f
+            assert family.unconjugate(f, f.dom, f.cod) == t_dom.then(f).then(t_cod_inv)
+
+    # the checks of ``then``: another carrier, and a given inverse of the wrong shape
+    other = S.zmod_semiring(3)
+    swap = M.from_entries(B, [[0, 1], [1, 0]])
+    family = M.IsoFamily({1: M.identity(B, 1), 2: swap})
+    with pytest.raises(SemiringMismatch):
+        family.conjugate(M.identity(other, 2))
+    with pytest.raises(SemiringMismatch):
+        family.unconjugate(M.zero_morphism(other, 1, 2), M.canonical(1), M.canonical(2))
+    wrong = M.IsoFamily({2: swap}, {2: M.identity(B, 1)})
+    for f in (M.identity(B, 2), M.zero_morphism(B, 2, 2)):
+        with pytest.raises(DimensionMismatch):
+            wrong.conjugate(f)
+        with pytest.raises(DimensionMismatch):
+            wrong.unconjugate(f, f.dom, f.cod)
+
+
 def _labeled_setup(semiring, rng):
     objects = [
         M.FreeObject(1, "A1"), M.FreeObject(2, "A2"),
