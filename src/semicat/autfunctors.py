@@ -25,13 +25,13 @@ from .errors import (
     VerificationReport,
 )
 from .matcat import (
+    BiproductSystem,
     BlackBoxFunctor,
+    FreeObject,
     IsoFamily,
     Morphism,
     _mat_add,
     biproduct_defect,
-    biproduct_system,
-    canonical,
     count_morphisms,
     enumerate_morphisms,
     from_entries,
@@ -179,7 +179,7 @@ def linear_certificate(functor, budget=DEFAULT_BUDGET):
     if decompositions + 2 * pairs + zeros + structure > budget:
         return None
 
-    obj = [functor.on_object(canonical(n)) for n in range(cap + 1)]
+    obj = [functor.on_object(FreeObject(n)) for n in range(cap + 1)]
     if any(o.rank != n for n, o in enumerate(obj)):
         return None
     for n in range(cap + 1):
@@ -199,7 +199,7 @@ def linear_certificate(functor, budget=DEFAULT_BUDGET):
 
     mu, pi = {}, {}
     for n in ranks:
-        system = biproduct_system(R, n)
+        system = BiproductSystem(R, n)
         mu[n] = [functor.on_morphism(x) for x in system.injections]
         pi[n] = [functor.on_morphism(x) for x in system.projections]
         if any(biproduct_defect(mu[n], pi[n], i) for i in range(n)):
@@ -264,7 +264,7 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
         return got
 
     def obj(n):
-        return functor.on_object(canonical(n))
+        return functor.on_object(FreeObject(n))
 
     def law(name, regime, cases, broken):
         """Record the first case ``broken`` names a witness for, else a pass."""
@@ -292,7 +292,7 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
 
     def biproduct_rows():
         for n in ranks[1:]:
-            system = biproduct_system(R, n)
+            system = BiproductSystem(R, n)
             mu = [image_of(x) for x in system.injections]
             pi = [image_of(x) for x in system.projections]
             yield from ((mu, pi, i) for i in range(n))
@@ -371,7 +371,7 @@ def extract_sigma(functor, budget=DEFAULT_BUDGET, seed=0):
     """
     R = functor.semiring
     for n in range(1, functor.cap + 1):
-        for mu in biproduct_system(R, n).injections:
+        for mu in BiproductSystem(R, n).injections:
             if functor.on_morphism(mu) != mu:
                 raise InjectionsNotFixed(
                     f"injection {mu!r} is moved; normalize the functor first")
@@ -425,7 +425,7 @@ def normalize_injections(functor):
     for n in range(1, functor.cap + 1):
         rows = [
             functor.on_morphism(mu).entries[0]
-            for mu in biproduct_system(R, n).injections
+            for mu in BiproductSystem(R, n).injections
         ]
         stack = Morphism(R, n, n, rows)
         inv = invert(stack)
@@ -440,7 +440,7 @@ def normalize_injections(functor):
         R, lambda f: witness.unconjugate(functor.on_morphism(f), f.dom, f.cod),
         cap=functor.cap, name=f"{functor.name}^normalized")
     for n in range(1, functor.cap + 1):
-        for mu in biproduct_system(R, n).injections:
+        for mu in BiproductSystem(R, n).injections:
             if normalized.on_morphism(mu) != mu:
                 raise NonInvertibleStack(
                     f"normalization failed to fix {mu!r}; the input is not additive")
@@ -567,7 +567,7 @@ def reduction_precondition_check(functor, n):
     certifies the black box is not a functor.
     """
     R = functor.semiring
-    system = biproduct_system(R, n)
+    system = BiproductSystem(R, n)
     regime, endos = _morphism_sweep(
         R, [((n, n),)], DEFAULT_BUDGET, 0, tag=f"reduction-endo-{n}")
     monoid_fixed = all(functor.on_morphism(f) == f for (f,) in endos)
@@ -614,45 +614,39 @@ class OuterGroupReport(Record):
         self.consistent = consistent
 
 
-def _find(parent, x):
-    """Union-find root of x, halving the path on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def outer_group_experiment(semiring, cap, budget=DEFAULT_BUDGET, seed=0):
     """Count inner-equivalence classes of the entrywise carrier actions.
 
-    For each pair of carrier automorphisms the composite with the inverse is
-    tested for innerness; classes of the resulting relation are compared with
-    the outer coset count of the carrier itself.
+    sigma_i and sigma_j share a class when the composite sigma_i^-1 ; sigma_j
+    acts as an inner functor.  The inner functors form a normal subgroup H,
+    so the classes are the cosets sigma ; H, and each non-identity
+    automorphism is tested for innerness once (``aut[0]``, the least
+    permutation, is the identity).  The class count is compared with the
+    outer coset count of the carrier itself.
     """
     groups = automorphism_groups(semiring)
-    k = len(groups.aut)
-    parent = list(range(k))
+    aut = groups.aut
+    index = {a.perm: i for i, a in enumerate(aut)}
+    inner = {aut[0].perm: True}  # tau -> True, False or None (undecided)
+    for tau in aut[1:]:
+        composite = semi_inner_functor(skew_inner_functor(tau, cap))
+        try:
+            witness = inner_witness(composite, budget=budget, seed=seed)
+        except SearchCapExceeded:
+            inner[tau.perm] = None
+        else:
+            inner[tau.perm] = witness is not None
 
-    undecided = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            tau = groups.aut[i].inverted().then(groups.aut[j])
-            composite = semi_inner_functor(skew_inner_functor(tau, cap))
-            try:
-                witness = inner_witness(composite, budget=budget, seed=seed)
-            except SearchCapExceeded:
-                undecided.append((i, j))
-                continue
-            if witness is not None:
-                parent[_find(parent, i)] = _find(parent, j)
-    classes = {}
-    for i in range(k):
-        classes.setdefault(_find(parent, i), []).append(i)
-    class_list = tuple(tuple(v) for _, v in sorted(classes.items()))
-    merged = list(parent)
-    for i, j in undecided:
-        merged[_find(merged, i)] = _find(merged, j)
-    lower_bound = len({_find(merged, i) for i in range(k)})
+    def cosets(subgroup):  # the classes sigma ; H, listed by largest member
+        return tuple(sorted(
+            {tuple(sorted({index[a.then(h).perm] for h in subgroup})) for a in aut},
+            key=lambda c: c[-1]))
+
+    class_list = cosets([h for h in aut if inner[h.perm]])
+    lower_bound = len(cosets([h for h in aut if inner[h.perm] is not False]))
+    undecided = tuple(
+        (i, j) for i in range(len(aut)) for j in range(i + 1, len(aut))
+        if inner[aut[i].inverted().then(aut[j]).perm] is None)
     consistent = not undecided and len(class_list) == groups.out_order
     return OuterGroupReport(
         semiring=semiring.name,
@@ -663,6 +657,6 @@ def outer_group_experiment(semiring, cap, budget=DEFAULT_BUDGET, seed=0):
         class_count=len(class_list),
         class_count_lower_bound=lower_bound,
         classes=class_list,
-        undecided=tuple(undecided),
+        undecided=undecided,
         consistent=consistent,
     )

@@ -50,7 +50,7 @@ _COMMANDS = {
                                      "help": "comma-separated basis labels, e.g. e,f"}),
                 (("--right",), {"required": True})),
         "basis": (_LIE, (("--gens",), {"type": int, "default": 1})),
-        "lift": (_LIE, (("--map",), {"default": "chevalley", "dest": "map_name"})),
+        "lift": (_LIE,),
         "units": (_LIE,),
         "suite": (_LIE,),
     },
@@ -157,7 +157,6 @@ def _dispatch(args):
             left=getattr(args, "left", None),
             right=getattr(args, "right", None),
             gens=getattr(args, "gens", 1),
-            map_name=getattr(args, "map_name", None),
         )
     if args.group == "report":
         try:

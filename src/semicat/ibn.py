@@ -74,7 +74,10 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
         # |R|^n elements in the rank-n free semimodule; unequal sizes cannot
         # be isomorphic.
         return None
-    columns, rows = _witness_masks(R, n, m)
+    # A: n x m and B: m x n.  ``columns`` solves A b = e_t for the columns b
+    # of B, one equation a_i . b per row a_i of A; ``rows`` solves u A = e_j
+    # for the rows u of B, one equation u . a^t per column a^t of A.
+    columns, rows = _DotMasks(R, m), _DotMasks(R, n, vector_left=True)
     steps = 0
     for a in _column_major_matrices(R, n, m):
         steps += len(columns.vectors)
@@ -103,16 +106,6 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
                     from_entries(R, b, dom=m, cod=n),
                 )
     return None
-
-
-def _witness_masks(R, n, m):
-    """Masks for the two halves of a witness (A: n x m, B: m x n).
-
-    The first solves A b = e_t for the columns b of B, one equation a_i . b
-    per row a_i of A; the second solves u A = e_j for the rows u of B, one
-    equation u . a^t per column a^t of A, with u on the left.
-    """
-    return _DotMasks(R, m), _DotMasks(R, n, vector_left=True)
 
 
 class _DotMasks:

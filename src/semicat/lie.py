@@ -992,7 +992,8 @@ def multiply_by_word_rewriting(u, v):
             for m, c in (get(need := (j,) + tail) or (yield need)).items():
                 _accumulate(K, out, (get(need := (i,) + m) or (yield need)).items(), c)
             pieces = lie._terms[j][i]
-        elif restricted is not None and segment[:restricted.p] == (j,) * restricted.p:
+        elif (restricted is not None and len(segment) >= restricted.p
+              and segment[restricted.p - 1] == j):  # sorted: p letters j lead
             tail = segment[restricted.p:]
             pieces = restricted.images[j].items()
         else:

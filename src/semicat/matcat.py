@@ -49,10 +49,6 @@ class FreeObject(tuple):
         return self.label
 
 
-def canonical(rank):
-    return FreeObject(rank)
-
-
 def _as_object(obj_or_rank):
     if isinstance(obj_or_rank, FreeObject):
         return obj_or_rank
@@ -286,10 +282,6 @@ def biproduct_defect(mu, pi, i):
     return None
 
 
-def biproduct_system(semiring, rank):
-    return BiproductSystem(semiring, rank)
-
-
 # ---------------------------------------------------------------------------
 # enumeration and inversion
 
@@ -497,8 +489,8 @@ class IsoFamily:
         if got is not None:
             return got
         if obj.rank == 0 and semiring is not None:
-            return (Morphism(semiring, obj, canonical(0), ()),
-                    Morphism(semiring, canonical(0), obj, ()))
+            return (Morphism(semiring, obj, FreeObject(0), ()),
+                    Morphism(semiring, FreeObject(0), obj, ()))
         raise MissingIso(f"no isomorphism assigned to {obj}")
 
     def _act(self, f, obj, index, left):

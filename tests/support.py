@@ -418,6 +418,55 @@ def brute_force_inner_witness(functor):
     return None
 
 
+def pairwise_outer_group_experiment(semiring, cap, budget, seed=0):
+    """``outer_group_experiment`` as a union-find over all pairs: the
+    innerness of sigma_i^-1 ; sigma_j is asked once per pair i < j, a yes
+    merges i and j, and classes are listed by their union-find roots."""
+    from semicat import autfunctors as A
+    from semicat.errors import SearchCapExceeded
+
+    def find(parent, x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    groups = S.automorphism_groups(semiring)
+    k = len(groups.aut)
+    parent = list(range(k))
+    undecided = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            tau = groups.aut[i].inverted().then(groups.aut[j])
+            composite = A.semi_inner_functor(A.skew_inner_functor(tau, cap))
+            try:
+                witness = A.inner_witness(composite, budget=budget, seed=seed)
+            except SearchCapExceeded:
+                undecided.append((i, j))
+                continue
+            if witness is not None:
+                parent[find(parent, i)] = find(parent, j)
+    classes = {}
+    for i in range(k):
+        classes.setdefault(find(parent, i), []).append(i)
+    class_list = tuple(tuple(v) for _, v in sorted(classes.items()))
+    merged = list(parent)
+    for i, j in undecided:
+        merged[find(merged, i)] = find(merged, j)
+    return A.OuterGroupReport(
+        semiring=semiring.name,
+        cap=cap,
+        aut_order=groups.aut_order,
+        inn_order=groups.inn_order,
+        out_order=groups.out_order,
+        class_count=len(class_list),
+        class_count_lower_bound=len({find(merged, i) for i in range(k)}),
+        classes=class_list,
+        undecided=tuple(undecided),
+        consistent=not undecided and len(class_list) == groups.out_order,
+    )
+
+
 def all_shape_morphisms(semiring, max_rank, include_zero_rank=False):
     from semicat import matcat as M
 

@@ -117,7 +117,7 @@ def test_criterion_05_normalization(semiring):
         functor = A.semi_inner_functor(data)
         normalized, witness = A.normalize_injections(functor)
         for n in (1, 2):
-            for mu in M.biproduct_system(semiring, n).injections:
+            for mu in M.BiproductSystem(semiring, n).injections:
                 assert normalized.on_morphism(mu) == mu
         sigma = A.extract_sigma(normalized)
         reference = A.semi_inner_functor(A.skew_inner_functor(sigma, 2))
@@ -138,7 +138,7 @@ def test_criterion_06_decompose_and_compose():
         data = A.random_semi_inner_data(GF4, 2, rng, GF4_GROUPS)
         functor = A.semi_inner_functor(data)
         isos = M.IsoFamily({
-            M.canonical(n): M.random_invertible(GF4, n, rng)[0] for n in (1, 2)})
+            M.FreeObject(n): M.random_invertible(GF4, n, rng)[0] for n in (1, 2)})
         stable, inner = A.decompose_stable_inner(functor, isos)
         recomposed = A.compose_functors(stable, inner)
         for f in everything:

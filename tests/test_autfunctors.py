@@ -21,6 +21,7 @@ from support import (
     invertible_morphisms,
     matrix_ring_f2,
     pairwise_laws_hold,
+    pairwise_outer_group_experiment,
     upper_triangular_boolean,
 )
 
@@ -420,7 +421,7 @@ def test_identity_map_automorphism_is_not_applied():
 def test_normalize_rejects_non_additive_box():
     from semicat.errors import NonInvertibleStack
 
-    dead_row = M.biproduct_system(F4, 2).injections[0]
+    dead_row = M.BiproductSystem(F4, 2).injections[0]
 
     def collapse(f):
         if f == dead_row:
@@ -490,7 +491,7 @@ def test_normalize_idempotent():
 
 def test_decompose_identity_isos():
     functor = skew(FROB)
-    isos = M.IsoFamily.identities(F4, [M.canonical(1), M.canonical(2)])
+    isos = M.IsoFamily.identities(F4, [M.FreeObject(1), M.FreeObject(2)])
     stable, inner = A.decompose_stable_inner(functor, isos)
     for f in all_shape_morphisms(F4, 2):
         assert stable.on_morphism(f) == functor.on_morphism(f)
@@ -504,7 +505,7 @@ def test_decompose_conjugation_collapses():
         semiring=F4, sigma=S.identity_automorphism(F4), family=family, cap=2)
     functor = A.semi_inner_functor(data)
     # the conjugating family itself splits the functor exactly
-    isos = M.IsoFamily({M.canonical(n): family[n] for n in (1, 2)})
+    isos = M.IsoFamily({M.FreeObject(n): family[n] for n in (1, 2)})
     stable, _ = A.decompose_stable_inner(functor, isos)
     for f in all_shape_morphisms(F4, 2):
         assert stable.on_morphism(f) == f
@@ -514,7 +515,7 @@ def test_decompose_recomposition():
     rng = random.Random(29)
     functor = skew(FROB)
     isos = M.IsoFamily({
-        M.canonical(n): M.random_invertible(F4, n, rng)[0] for n in (1, 2)
+        M.FreeObject(n): M.random_invertible(F4, n, rng)[0] for n in (1, 2)
     })
     stable, inner = A.decompose_stable_inner(functor, isos)
     recomposed = A.compose_functors(stable, inner)
@@ -657,8 +658,8 @@ def test_reduction_check_identity_and_skew():
 
 
 def test_reduction_check_catches_non_functor():
-    system = M.biproduct_system(B, 2)
-    moved = M.from_entries(B, [[1], [0]], dom=M.canonical(2), cod=M.canonical(1))
+    system = M.BiproductSystem(B, 2)
+    moved = M.from_entries(B, [[1], [0]], dom=M.FreeObject(2), cod=M.FreeObject(1))
 
     def fake(f):
         if f == system.codiagonal:
@@ -740,3 +741,38 @@ def test_outer_group_of_m2_f2_is_trivial():
     assert (report.aut_order, report.inn_order, report.out_order) == (6, 6, 1)
     assert report.classes == ((0, 1, 2, 3, 4, 5),)
     assert report.undecided == () and report.consistent
+
+
+_Z, _G, _P = S.zmod_semiring, S.galois_semiring, S.product_semiring
+OUTER_GROUP_CARRIERS = [
+    (B, 2), (Z4, 2), (F4, 2), (_G(8), 2), (_G(9), 2), (_G(16), 2), (_Z(6), 2),
+    (_P(_Z(2), _Z(2)), 2), (_P(F4, _Z(2)), 2), (upper_triangular_boolean(), 2),
+    (matrix_ring_f2(), 1), (_P(matrix_ring_f2(), F4), 1),
+    (_P(matrix_ring_f2(), _Z(3)), 1)]
+
+
+@pytest.mark.parametrize("budget", [A.DEFAULT_BUDGET, 5])
+@pytest.mark.parametrize(
+    "semiring,cap", OUTER_GROUP_CARRIERS,
+    ids=[f"{R.name}-cap{cap}" for R, cap in OUTER_GROUP_CARRIERS])
+def test_coset_classes_match_the_pairwise_union_find(semiring, cap, budget):
+    report = A.outer_group_experiment(semiring, cap, budget=budget)
+    oracle = pairwise_outer_group_experiment(semiring, cap, budget)
+    assert report.to_json() == oracle.to_json()
+
+
+def test_outer_group_asks_once_per_non_identity_automorphism(monkeypatch):
+    calls = []
+    witness = A.inner_witness
+
+    def counted(functor, **kwargs):
+        calls.append(functor)
+        return witness(functor, **kwargs)
+
+    monkeypatch.setattr(A, "inner_witness", counted)
+    ring = matrix_ring_f2()
+    report = A.outer_group_experiment(ring, cap=1)
+    assert len(calls) == report.aut_order - 1 == 5
+    calls.clear()
+    pairwise_outer_group_experiment(ring, 1, A.DEFAULT_BUDGET)
+    assert len(calls) == 6 * 5 // 2

@@ -752,6 +752,29 @@ def test_cli_lie_coefficient_specs_are_bounded(capsys):
     capsys.readouterr()
 
 
+def test_cli_lie_scans_over_a_large_prime_are_charged(tmp_path, capsys):
+    """`lie units` scans every scalar, and `lie validate` takes each p-th
+    power of a p-map by p repeated products; both are charged against the
+    budget before they start.  Uncharged, the first ran past 10 s on
+    zmod:1000000007 and the second past 20 s on a dim-1 p-map over
+    zmod:1000003."""
+    pmap = tmp_path / "abelian1-restricted.json"
+    pmap.write_text(json.dumps(
+        {"ring": "zmod:1000003", "dim": 1, "brackets": [], "pmap": [[0, [[0, 1]]]]}))
+    for argv in (["lie", "units", "--file", "sl2:zmod:1000000007"],
+                 ["lie", "validate", "--file", str(pmap)]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 1.0, argv
+        assert "exceed the budget" in capsys.readouterr().err
+    small = tmp_path / "abelian1-restricted-7.json"
+    small.write_text(json.dumps(
+        {"ring": "zmod:7", "dim": 1, "brackets": [], "pmap": [[0, [[0, 1]]]]}))
+    assert cli.main(["lie", "validate", "--file", str(small)]) == 0
+    assert cli.main(["lie", "validate", "--file", str(small), "--budget", "6"]) == 2
+    capsys.readouterr()
+
+
 _SPEC_TAILS = st.one_of(
     st.text(max_size=12),
     st.integers(-300, 300).map(str),

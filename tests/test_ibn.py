@@ -119,7 +119,7 @@ def test_masks_solve_both_halves_of_a_witness():
     # are checked against Morphism products on noncommutative carriers
     for R in (upper_triangular_boolean(), matrix_ring_f2()):
         for n, m in ((1, 2), (2, 1)):
-            columns, rows = ibn._witness_masks(R, n, m)
+            columns, rows = ibn._DotMasks(R, m), ibn._DotMasks(R, n, vector_left=True)
             units_n = identity(R, n).entries
             units_m = identity(R, m).entries
             every_a = itertools.product(R.elements(), repeat=n * m)

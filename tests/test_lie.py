@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -678,6 +679,25 @@ def test_restricted_routes_agree():
         words = (renv.element(renv.normal_form_word(renv.word_of(exp))).scale(c)
                  for exp, c in unrestricted.coeffs.items())
         assert direct == sum(words, renv.zero())
+
+
+def test_word_oracle_p_run_check_builds_no_p_letter_word():
+    """The word oracle tells a leading p-run by its p-th letter; comparing
+    with a p-letter tuple took 94 MB peak RSS per product at p = 10000019."""
+    p = 10000019
+    f = L.PrimeField(p)
+    renv = L.UniversalEnvelope(
+        L.abelian(f, 1, labels=("x",)), restricted=L.RestrictedStructure(p, ({0: 1},)))
+    x = renv.generator(0)
+    x2 = x * x
+    tracemalloc.start()
+    try:
+        product = L.multiply_by_word_rewriting(x2, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert product == x2 * x == renv.monomial((3,))
+    assert peak < 1_000_000
 
 
 def test_restricted_exponent_invariant():

@@ -99,18 +99,18 @@ def test_associativity_sampled_catalog_rank3():
 def test_biproduct_systems():
     for semiring in catalog_all():
         for rank in range(1, 5):
-            M.biproduct_system(semiring, rank)  # verifies at construction
+            M.BiproductSystem(semiring, rank)  # verifies at construction
     with pytest.raises(ZeroRank):
-        M.biproduct_system(B, 0)
-    one = M.biproduct_system(Z4, 1)
+        M.BiproductSystem(B, 0)
+    one = M.BiproductSystem(Z4, 1)
     assert one.injections[0].entries == one.projections[0].entries == ((1,),)
     assert one.codiagonal.entries == ((1,),)
-    assert M.biproduct_system(B, 3).injections[1].then(
-        M.biproduct_system(B, 3).codiagonal).is_identity()
+    assert M.BiproductSystem(B, 3).injections[1].then(
+        M.BiproductSystem(B, 3).codiagonal).is_identity()
 
 
 def test_biproduct_defect_names_the_first_broken_relation():
-    system = M.biproduct_system(B, 2)
+    system = M.BiproductSystem(B, 2)
     mu, pi = list(system.injections), list(system.projections)
     assert [M.biproduct_defect(mu, pi, i) for i in range(2)] == [None, None]
     assert M.biproduct_defect(mu, pi[::-1], 0) == (
@@ -128,7 +128,7 @@ def test_biproduct_defect_names_the_first_broken_relation():
 
 def test_row_slice_reconstruction_exhaustive_boolean():
     for n in (1, 2):
-        system = M.biproduct_system(B, n)
+        system = M.BiproductSystem(B, n)
         for m in (1, 2):
             for f in M.enumerate_morphisms(B, n, m):
                 total = M.zero_morphism(B, n, m)
@@ -277,7 +277,7 @@ def test_iso_family_conjugation_round_trips():
         family = M.IsoFamily({
             n: M.random_invertible(semiring, n, rng)[0] for n in range(3)})
         # no rank-0 entry: conjugation goes through the empty morphism to F0
-        ones = M.IsoFamily.identities(semiring, [M.canonical(1), M.canonical(2)])
+        ones = M.IsoFamily.identities(semiring, [M.FreeObject(1), M.FreeObject(2)])
         for f in all_shape_morphisms(semiring, 2, include_zero_rank=True):
             g = family.conjugate(f)
             assert g == family.inverse(f.dom).then(f).then(family.component(f.cod))
@@ -288,7 +288,7 @@ def test_iso_family_conjugation_round_trips():
             ones.conjugate(M.identity(semiring, 3))
         with pytest.raises(MissingIso):
             M.IsoFamily({1: M.identity(semiring, 1)}).unconjugate(
-                M.identity(semiring, 2), M.canonical(2), M.canonical(2))
+                M.identity(semiring, 2), M.FreeObject(2), M.FreeObject(2))
 
 
 def test_iso_family_identity_components_match_the_explicit_product():
@@ -297,7 +297,7 @@ def test_iso_family_identity_components_match_the_explicit_product():
     rng = random.Random(13)
     a1 = M.FreeObject(1, "A1")
     for semiring in catalog_finite():
-        f0 = M.canonical(0)
+        f0 = M.FreeObject(0)
 
         def pair(family, obj, R=semiring):
             if obj in family.objects():
@@ -310,7 +310,7 @@ def test_iso_family_identity_components_match_the_explicit_product():
             1: M.identity(semiring, 1), 2: M.random_invertible(semiring, 2, rng)[0]})
         # identity entries, but onto another object: the label must change
         relabel = M.IsoFamily({
-            a1: M.Morphism(semiring, a1, M.canonical(1), ((semiring.one,),)),
+            a1: M.Morphism(semiring, a1, M.FreeObject(1), ((semiring.one,),)),
             1: M.identity(semiring, 1), 2: M.identity(semiring, 2)})
         canonical_shapes = all_shape_morphisms(semiring, 2, include_zero_rank=True)
         labeled = []  # the same matrices with A1 at a rank-1 end, or both
@@ -363,7 +363,7 @@ def test_iso_family_memoized_products_match_the_explicit_product():
     with pytest.raises(SemiringMismatch):
         family.conjugate(M.identity(other, 2))
     with pytest.raises(SemiringMismatch):
-        family.unconjugate(M.zero_morphism(other, 1, 2), M.canonical(1), M.canonical(2))
+        family.unconjugate(M.zero_morphism(other, 1, 2), M.FreeObject(1), M.FreeObject(2))
     wrong = M.IsoFamily({2: swap}, {2: M.identity(B, 1)})
     for f in (M.identity(B, 2), M.zero_morphism(B, 2, 2)):
         with pytest.raises(DimensionMismatch):
@@ -375,7 +375,7 @@ def test_iso_family_memoized_products_match_the_explicit_product():
 def _labeled_setup(semiring, rng):
     objects = [
         M.FreeObject(1, "A1"), M.FreeObject(2, "A2"),
-        M.canonical(1), M.canonical(2),
+        M.FreeObject(1), M.FreeObject(2),
     ]
     assignments = {}
     for obj in objects:
@@ -384,14 +384,14 @@ def _labeled_setup(semiring, rng):
         else:
             mat = M.random_invertible(semiring, obj.rank, rng)[0]
             assignments[obj] = M.Morphism(
-                semiring, obj, M.canonical(obj.rank), mat.entries)
+                semiring, obj, M.FreeObject(obj.rank), mat.entries)
     return objects, M.IsoFamily(assignments, require_canonical_identity=True)
 
 
 def test_skeleton_transport_trivial_isos():
     z2 = S.zmod_semiring(2)
     phi = M.identity_functor(z2, cap=2)
-    isos = M.IsoFamily.identities(z2, [M.canonical(1), M.canonical(2)])
+    isos = M.IsoFamily.identities(z2, [M.FreeObject(1), M.FreeObject(2)])
     ext = M.skeleton_transport(phi, isos)
     for f in M.enumerate_morphisms(z2, 2, 2):
         assert ext.on_morphism(f) == phi.on_morphism(f)
@@ -453,7 +453,7 @@ def test_skeleton_transport_verifies_on_z2():
 def test_skeleton_transport_missing_iso():
     z2 = S.zmod_semiring(2)
     phi = M.identity_functor(z2, cap=2)
-    isos = M.IsoFamily.identities(z2, [M.canonical(1)])
+    isos = M.IsoFamily.identities(z2, [M.FreeObject(1)])
     ext = M.skeleton_transport(phi, isos)
     with pytest.raises(MissingIso):
         ext.on_morphism(M.identity(z2, 2))
