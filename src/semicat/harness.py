@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 
@@ -131,8 +132,6 @@ def run_experiment(config):
 
 
 def _run_validate(config, rec):
-    import os
-
     spec = config.semiring
     if os.path.exists(spec):
         # raw tables from a file: malformed shapes are a parse error, but

@@ -1058,12 +1058,19 @@ class ModuleBasisVector(FrozenRecord):
 
 def exponents_up_to(dim, degree_cap):
     """PBW exponent vectors by total degree, each degree in lexicographic
-    order of its nondecreasing index word."""
-    return [
-        _exponents(dim, word)
-        for degree in range(degree_cap + 1)
-        for word in itertools.combinations_with_replacement(range(dim), degree)
-    ]
+    order of its nondecreasing index word, i.e. descending vectors."""
+    return [exp for degree in range(degree_cap + 1)
+            for exp in _descending_exponents(dim, degree)]
+
+
+def _descending_exponents(dim, degree):
+    """The exponent vectors over dim letters summing to degree, descending."""
+    if dim == 0:
+        return [()] if degree == 0 else []
+    if dim == 1:
+        return [(degree,)]
+    return [(first, *rest) for first in range(degree, -1, -1)
+            for rest in _descending_exponents(dim - 1, degree - first)]
 
 
 def free_module_basis(lie, generators, degree_cap):

@@ -28,7 +28,8 @@ from .errors import (
 # 8 automorphisms takes 1,111,844, about 0.35 s); the cap leaves room for them.
 DEFAULT_AUT_STEP_CAP = 2_000_000
 # Largest carrier whose dense tables the built-in constructors build: the
-# tables are quadratic in the size and axiom validation is cubic.
+# tables are quadratic in the size, and axiom validation costs the size squared
+# times that of a generating set (the size cubed once an axiom fails).
 MAX_TABLE_SIZE = 256
 
 # Each axiom with its arity and a predicate that holds at an argument tuple
@@ -293,12 +294,22 @@ def find_axiom_witness(add, mul, zero, one, axiom):
     both sides over every last argument are built at once (``itemgetter(*row)``
     composes two table rows), and only a row whose sides differ is scanned
     argument by argument for its first witness.
+
+    A ternary axiom is first checked with its middle argument b in a
+    generating set S only (Light's test).  The b at which associativity holds
+    for every a and c are closed under the operation, and once + is known to
+    be associative, the b at which a distributivity holds are closed under +;
+    so rows that agree for every a and every b in S prove the axiom at every
+    triple, and the rows of all n^2 prefixes are compared only when an axiom
+    (or the additive associativity a distributivity rests on) fails.
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}")
     arity = AXIOMS[axiom][0]
     sides = _row_sides(axiom, add, mul)
     elements = range(len(add))
+    if arity == 3 and _holds_on_generators(axiom, add, mul, sides):
+        return None
     for prefix in product(elements, repeat=arity - 1):
         if sides is not None:
             left, right = sides(*prefix)
@@ -309,6 +320,40 @@ def find_axiom_witness(add, mul, zero, one, axiom):
             if not evaluate_axiom(add, mul, zero, one, axiom, witness):
                 return witness
     return None
+
+
+def _holds_on_generators(axiom, add, mul, sides):
+    """True when the rows of a ternary axiom agree at every (a, b) with b in a
+    generating set of its operation (of + for the distributivities, which
+    first need additive associativity by the same test)."""
+    if axiom.endswith("distributivity") and not _holds_on_generators(
+            "add-associativity", add, mul, _row_sides("add-associativity", add, mul)):
+        return False
+    generators = _generators(mul if axiom == "mul-associativity" else add)
+    return all(left == right for left, right in
+               (sides(a, b) for a in range(len(add)) for b in generators))
+
+
+def _generators(table):
+    """A generating set S of the operation, picked greedily in index order so
+    that every element is reached as table[x][s] from a reached x and an s in
+    S; each (x, s) pair is looked up once."""
+    elements = range(len(table))
+    seen = [False] * len(table)
+    generators = []
+    for g in elements:
+        if seen[g]:
+            continue
+        generators.append(g)
+        # what was reached meets the new generator; g and each element
+        # reached from here on meet every generator
+        fresh = [g] + [table[x][g] for x in elements if seen[x]]
+        while fresh:
+            y = fresh.pop()
+            if not seen[y]:
+                seen[y] = True
+                fresh.extend(table[y][s] for s in generators)
+    return generators
 
 
 def _row_sides(axiom, add, mul):
@@ -366,7 +411,7 @@ def check_axioms_on_sample(semiring, sample):
 
 # ---------------------------------------------------------------------------
 # built-in carriers: their tables are semirings by construction, so they skip
-# the axiom sweep of validate_semiring, which is cubic in the size
+# the axiom sweep of validate_semiring
 
 
 def boolean_semiring():

@@ -166,17 +166,26 @@ def unrolled_axiom_witness(add, mul, zero, one, axiom):
     return None
 
 
-def monomials_up_to(envelope, degree):
-    """Every PBW monomial of total degree <= the bound, unit coefficient."""
-    dim = envelope.lie.dim
+def word_exponents_up_to(dim, degree_cap):
+    """PBW exponent vectors by total degree, each degree in lexicographic
+    order of its nondecreasing index word, counted letter by letter.
+
+    The oracle of ``lie.exponents_up_to``, which builds each vector directly.
+    """
     out = []
-    for total in range(degree + 1):
+    for total in range(degree_cap + 1):
         for word in itertools.combinations_with_replacement(range(dim), total):
             exp = [0] * dim
             for letter in word:
                 exp[letter] += 1
-            out.append(envelope.monomial(exp))
+            out.append(tuple(exp))
     return out
+
+
+def monomials_up_to(envelope, degree):
+    """Every PBW monomial of total degree <= the bound, unit coefficient."""
+    return [envelope.monomial(exp)
+            for exp in word_exponents_up_to(envelope.lie.dim, degree)]
 
 
 def whole_word_rewriting(u, v):

@@ -24,7 +24,7 @@ from semicat.errors import (
     UnsupportedCarrier,
 )
 from semicat._galois import factor_prime_power
-from support import monomials_up_to, whole_word_rewriting
+from support import monomials_up_to, whole_word_rewriting, word_exponents_up_to
 
 Q = L.RationalField()
 Z = L.IntegerRing()
@@ -552,6 +552,12 @@ def test_free_basis_example_labels():
     basis = L.free_module_basis(lie, ("x_1",), 2)
     assert [b.label(lie) for b in basis] == [
         "x_1", "e_1x_1", "e_2x_1", "e_1e_1x_1", "e_2e_1x_1", "e_2e_2x_1"]
+
+
+def test_exponents_match_the_word_enumeration():
+    for dim in range(1, 5):
+        for cap in range(7):
+            assert L.exponents_up_to(dim, cap) == word_exponents_up_to(dim, cap), (dim, cap)
 
 
 def test_free_basis_counts():

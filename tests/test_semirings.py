@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,64 @@ def test_row_sweep_finds_the_unrolled_witness(data):
     for axiom in S.AXIOM_ORDER:
         assert S.find_axiom_witness(add, mul, semiring.zero, semiring.one, axiom) \
             == unrolled_axiom_witness(add, mul, semiring.zero, semiring.one, axiom), axiom
+
+
+@st.composite
+def _random_tables(draw):
+    size = draw(st.integers(1, 4))
+    cell = st.integers(0, size - 1)
+    table = st.lists(st.lists(cell, min_size=size, max_size=size),
+                     min_size=size, max_size=size)
+    return draw(table), draw(table), draw(cell), draw(cell)
+
+
+@given(_random_tables())
+@settings(max_examples=500, deadline=None)
+def test_each_axiom_on_random_tables_finds_the_unrolled_witness(tables):
+    # fully random tables, each axiom asked on its own: + is seldom
+    # associative, and a one-element table is drawn too
+    add, mul, zero, one = tables
+    for axiom in S.AXIOM_ORDER:
+        assert S.find_axiom_witness(add, mul, zero, one, axiom) \
+            == unrolled_axiom_witness(add, mul, zero, one, axiom), axiom
+
+
+def test_distributivity_on_generators_needs_additive_associativity():
+    # 0 generates + (0 + 0 = 1, 1 + 0 = 2) and a(0 + c) = a0 + ac everywhere,
+    # but + is not associative and the axiom fails at (0, 1, 1)
+    add = [[1, 0, 0], [2, 0, 2], [2, 0, 0]]
+    mul = [[2, 0, 0], [0, 1, 1], [0, 1, 1]]
+    assert S._generators(add) == [0]
+    assert S.find_axiom_witness(add, mul, 0, 0, "left-distributivity") == (0, 1, 1)
+
+
+def test_passing_ternary_axioms_compare_rows_on_generators_only(monkeypatch):
+    carriers = (S.zmod_semiring(60), S.galois_semiring(256), matrix_ring_f2())
+    rows = Counter()
+    row_sides = S._row_sides
+
+    def counted(axiom, add, mul):
+        sides = row_sides(axiom, add, mul)
+
+        def count(*prefix):
+            rows[axiom] += 1
+            return sides(*prefix)
+        return count
+
+    monkeypatch.setattr(S, "_row_sides", counted)
+    for semiring in carriers:
+        add, mul, n = semiring.add_table, semiring.mul_table, semiring.size
+        add_rows = n * len(S._generators(add))
+        for axiom, bound in (("add-associativity", add_rows),
+                             ("mul-associativity", n * len(S._generators(mul))),
+                             ("left-distributivity", add_rows),
+                             ("right-distributivity", add_rows)):
+            rows.clear()
+            assert S.find_axiom_witness(add, mul, semiring.zero, semiring.one, axiom) is None
+            assert rows.pop(axiom) <= bound < n * n, (semiring.name, axiom)
+            if axiom.endswith("distributivity"):
+                assert rows.pop("add-associativity") <= add_rows
+            assert not rows
 
 
 def test_infinite_builtins_pass_sampled_axioms():
