@@ -90,20 +90,32 @@ def _first_irreducible(p, k):
 
 
 def gf_tables(q):
-    """Dense add/mul index tables for GF(q); returns (add, mul, p, k)."""
+    """Dense add/mul index tables for GF(q); returns (add, mul, p, k).
+
+    Products come from log and antilog tables of the first primitive element
+    in index order, so each pair costs two lookups instead of a polynomial
+    product and reduction.
+    """
     p, k = factor_prime_power(q)
     if k == 1:
         add = [[(a + b) % p for b in range(p)] for a in range(p)]
         mul = [[(a * b) % p for b in range(p)] for a in range(p)]
         return add, mul, p, k
     modulus = _first_irreducible(p, k)
-    add = [[0] * q for _ in range(q)]
-    mul = [[0] * q for _ in range(q)]
-    for a in range(q):
-        da = _digits(a, p, k)
-        for b in range(q):
-            db = _digits(b, p, k)
-            add[a][b] = _index(tuple((x + y) % p for x, y in zip(da, db)), p)
-            prod = _poly_mod(_poly_mul(list(da), list(db), p), modulus, p)
-            mul[a][b] = _index(tuple(prod), p)
+    digits = [_digits(a, p, k) for a in range(q)]
+    add = [[_index([(x + y) % p for x, y in zip(da, db)], p) for db in digits]
+           for da in digits]
+    for g in range(2, q):  # the first primitive element: its powers fill GF(q)*
+        antilog, power = [1], digits[g]
+        while (a := _index(power, p)) != 1:
+            antilog.append(a)
+            power = _poly_mod(_poly_mul(power, digits[g], p), modulus, p)
+        if len(antilog) == q - 1:
+            break
+    log = [0] * q
+    for e, a in enumerate(antilog):
+        log[a] = e
+    antilog += antilog  # log[a] + log[b] < 2(q-1): no reduction needed
+    mul = [[0] * q] + [
+        [0] + [antilog[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)]
     return add, mul, p, k

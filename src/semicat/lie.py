@@ -1,7 +1,6 @@
 """Lie algebras over exact coefficient rings, with PBW arithmetic in the
 (restricted) universal envelope, free Lie-module bases, ring-map lifting, and
-the degree-truncated envelope carrier that plugs into the matrix-category
-machinery.
+the units of the degree-truncated envelope.
 
 Monomials are exponent vectors over the ordered basis.  A product is put in
 canonical form by exponent-level straightening: a generator x_i times a PBW
@@ -58,6 +57,9 @@ class CoefficientRing(Semiring):
 
     characteristic = 0
     is_commutative = True
+    # how _accumulate sums: "exact" on int and Fraction, "mod" reduced mod
+    # self.p, None through add and mul
+    sums = None
 
     def neg(self, a):
         raise NotImplementedError
@@ -82,6 +84,7 @@ class CoefficientRing(Semiring):
 
 class IntegerRing(CoefficientRing):
     name = "Z"
+    sums = "exact"
     zero = 0
     one = 1
 
@@ -117,6 +120,7 @@ class RationalField(CoefficientRing):
     so integer-valued arithmetic never leaves ``int``."""
 
     name = "Q"
+    sums = "exact"
     zero = 0
     one = 1
 
@@ -136,7 +140,8 @@ class RationalField(CoefficientRing):
         return None if a == 0 else _rational(1 / Fraction(a))
 
     def sample_element(self, rng):
-        return _rational(Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))))
+        n, d = rng.randrange(-6, 7), rng.choice((1, 2, 3))
+        return n // d if n % d == 0 else Fraction(n, d)
 
     def value_to_json(self, a):
         return str(a)
@@ -182,6 +187,7 @@ def _is_prime(n):
 
 class PrimeField(CoefficientRing):
     is_finite = True
+    sums = "mod"
 
     def __init__(self, p):
         if p >= _MILLER_RABIN_EXACT_BELOW:
@@ -320,13 +326,39 @@ def coefficient_ring(spec):
 
 def _accumulate(K, out, terms, c=None):
     """Add c*x (plain x when c is None) into ``out`` for each (key, x) of
-    ``terms``, dropping every key whose sum is zero; returns ``out``."""
+    ``terms``, dropping every key whose sum is zero; returns ``out``.
+
+    Over Z, Q and zmod:p (``K.sums`` set) the sums run inline on ``int`` and
+    ``Fraction``, normalised as the ring's own ``add`` normalises them; GF(q)
+    goes through ``K.add`` and ``K.mul``.
+    """
+    sums = K.sums
+    if sums is None:
+        for key, x in terms:
+            s = K.add(out.get(key, K.zero), x if c is None else K.mul(c, x))
+            if s == K.zero:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return out
+    get = out.get
+    if sums == "mod":
+        p = K.p
+        for key, x in terms:
+            s = (get(key, 0) + (x if c is None else c * x)) % p
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return out
     for key, x in terms:
-        s = K.add(out.get(key, K.zero), x if c is None else K.mul(c, x))
-        if s == K.zero:
-            out.pop(key, None)
-        else:
+        s = get(key, 0) + (x if c is None else c * x)
+        if s.__class__ is Fraction and s.denominator == 1:
+            s = s.numerator
+        if s:
             out[key] = s
+        else:
+            out.pop(key, None)
     return out
 
 
@@ -733,6 +765,7 @@ class UniversalEnvelope:
         self.ring = lie.ring
         self.restricted = restricted
         self._products = {}  # (i, exp) -> x_i * x^exp
+        self._segments = {}  # word segment -> its normal form, for the oracle
 
     def key(self):
         return (self.lie.key(),
@@ -771,19 +804,19 @@ class UniversalEnvelope:
         return self.element({tuple(exp): self.ring.one})
 
     def sample_element(self, rng, max_degree=2, terms=2):
-        K = self.ring
+        K, dim = self.ring, self.lie.dim
+        p = self.restricted.p if self.restricted else math.inf
         out = {}
         for _ in range(terms):
-            degree = rng.randrange(max_degree + 1)
-            word = tuple(sorted(rng.randrange(self.lie.dim) for _ in range(degree)))
-            if self.restricted and any(
-                    word.count(i) >= self.restricted.p for i in set(word)):
+            exp = [0] * dim
+            for _ in range(rng.randrange(max_degree + 1)):
+                exp[rng.randrange(dim)] += 1
+            if max(exp) >= p:
                 continue
-            exp = _exponents(self.lie.dim, word)
-            c = K.sample_element(rng)
+            exp, c = tuple(exp), K.sample_element(rng)
             if c != K.zero:
                 out[exp] = K.add(out.get(exp, K.zero), c)
-        return self.element(out)
+        return _canonical(self, {exp: c for exp, c in out.items() if c != K.zero})
 
     # -- canonical form
 
@@ -974,14 +1007,16 @@ def multiply_by_word_rewriting(u, v):
     c * NF(P + m) over the terms c * m of NF(S), and the memo is keyed on
     segments, not whole words.  A p-run at the front of a sorted segment may
     be traded before a descent at its left boundary: both sides are equal in
-    u(L).  Shares with the engine only ``_memoized``, ``_accumulate``,
-    ``_exponents``, ``word_of`` and the algebra's bracket terms.
+    u(L).  The segment memo lives on the envelope (``_segments``), so every
+    call on one envelope shares it; a restricted and an unrestricted
+    envelope never do.  Shares with the engine only ``_memoized``,
+    ``_accumulate``, ``_exponents``, ``word_of`` and the bracket terms.
     """
     env = u.envelope
     K = env.ring
     lie = env.lie
     restricted = env.restricted
-    memo = {}  # segment -> {normal word: coefficient}
+    memo = env._segments  # segment -> {normal word: coefficient}
     get = memo.get
 
     def rewrite(segment):
@@ -1226,92 +1261,7 @@ def lift_semi_automorphism(theta, envelope=None, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# the truncated envelope as a matrix-category carrier
-
-
-class UEnvelopeSemiring(Semiring):
-    """The envelope truncated at a total degree, exposed with the semiring
-    interface so the matrix-category machinery runs over it.
-
-    Products escaping the truncation raise DegreeCapExceeded rather than
-    silently dropping terms.
-    """
-
-    def __init__(self, envelope, degree_cap):
-        self.envelope = envelope
-        self.degree_cap = degree_cap
-        self.zero = envelope.zero()
-        self.one = envelope.one()
-        self.name = f"U({'/'.join(envelope.lie.labels)})<= {degree_cap}"
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        out = a * b
-        degree = out.degree()
-        if degree is not None and degree > self.degree_cap:
-            raise DegreeCapExceeded(
-                f"product degree {degree} escapes the cap {self.degree_cap}")
-        return out
-
-    def sample_element(self, rng):
-        return self.envelope.sample_element(
-            rng, max_degree=max(0, self.degree_cap // 2))
-
-    def try_unit_inverse(self, u):
-        if not is_unit(u):
-            return None
-        inv = self.envelope.ring.try_unit_inverse(u.constant_coefficient())
-        return self.envelope.scalar(inv)
-
-    def value_to_json(self, u):
-        K = self.envelope.ring
-        return [
-            [list(exp), K.value_to_json(c)]
-            for exp, c in sorted(u.coeffs.items())
-        ]
-
-    def key(self):
-        return ("uenv", self.envelope.key(), self.degree_cap)
-
-
-def hat_sigma_conjugate(sigma, nu, rng=None, linearity_samples=0):
-    """Apply a ring map of the envelope entrywise to a matrix over it.
-
-    This realizes conjugation of the module map by the coefficientwise
-    semilinear bijections; the result stays a module map.  Optionally runs
-    seeded scalar-linearity sample checks on the output.
-    """
-    carrier = nu.semiring
-    if not isinstance(carrier, UEnvelopeSemiring):
-        raise UnsupportedCarrier("the matrix must live over a truncated envelope")
-    out = nu.map_entries(sigma.apply)
-    for row in out.entries:
-        for entry in row:
-            degree = entry.degree()
-            if degree is not None and degree > carrier.degree_cap:
-                raise DegreeCapExceeded(
-                    f"conjugated entry degree {degree} escapes the cap")
-    if rng is not None and linearity_samples:
-        n = out.dom.rank
-        entry_degree = max(
-            (e.degree() or 0 for row in out.entries for e in row), default=0)
-        slack = max(0, carrier.degree_cap - entry_degree)
-        for _ in range(linearity_samples):
-            scalar = carrier.envelope.sample_element(
-                rng, max_degree=min(1, slack))
-            vector = tuple(
-                carrier.envelope.sample_element(
-                    rng, max_degree=max(0, slack - 1))
-                for _ in range(n))
-            scaled = tuple(carrier.mul(scalar, x) for x in vector)
-            left = out.act(scaled)
-            right = tuple(carrier.mul(scalar, x) for x in out.act(vector))
-            if left != right:
-                raise NotAnAutomorphism(
-                    f"conjugated matrix lost linearity at {scalar!r}")
-    return out
+# units of the truncated envelope
 
 
 class CyclicUnitsReport(VerificationReport):

@@ -2,9 +2,17 @@
 oracles, and small enumeration utilities kept separate from the library."""
 
 import itertools
+from fractions import Fraction
 
+from semicat import _galois as G
 from semicat import semirings as S
-from semicat.errors import AxiomViolation
+from semicat.errors import (
+    AxiomViolation,
+    DegreeCapExceeded,
+    NotAnAutomorphism,
+    UnsupportedCarrier,
+)
+from semicat.lie import RationalField, _exponents, _rational, is_unit
 
 
 def catalog_finite():
@@ -238,6 +246,46 @@ def whole_word_rewriting(u, v):
             nf = _memoized(memo, word, rewrite)
             _accumulate(K, total, nf.items(), K.mul(ca, cb))
     return env.element(total)
+
+
+def reference_sample_element(envelope, rng, max_degree=2, terms=2):
+    """``UniversalEnvelope.sample_element`` as first written, the reference
+    its draws are pinned to.
+
+    Each term sorts a word of random letters, drops it when a letter occurs p
+    times in restricted mode, and draws a coefficient; over Q the coefficient
+    is built as a ``Fraction`` and then made ``int`` when integral.
+    """
+    K = envelope.ring
+    dim = envelope.lie.dim
+    out = {}
+    for _ in range(terms):
+        degree = rng.randrange(max_degree + 1)
+        word = tuple(sorted(rng.randrange(dim) for _ in range(degree)))
+        if envelope.restricted and any(
+                word.count(i) >= envelope.restricted.p for i in set(word)):
+            continue
+        exp = _exponents(dim, word)
+        if isinstance(K, RationalField):
+            c = _rational(Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3))))
+        else:
+            c = K.sample_element(rng)
+        if c != K.zero:
+            out[exp] = K.add(out.get(exp, K.zero), c)
+    return envelope.element(out)
+
+
+def pairwise_gf_tables(q):
+    """GF(q) add and mul tables by one polynomial product and reduction per
+    pair of elements, the reference for ``_galois.gf_tables``."""
+    p, k = G.factor_prime_power(q)
+    modulus = G._first_irreducible(p, k)
+    digits = [list(G._digits(a, p, k)) for a in range(q)]
+    add = [[G._index([(x + y) % p for x, y in zip(da, db)], p) for db in digits]
+           for da in digits]
+    mul = [[G._index(G._poly_mod(G._poly_mul(da, db, p), modulus, p), p)
+            for db in digits] for da in digits]
+    return add, mul
 
 
 def brute_force_inverse(semiring, entries):
@@ -484,4 +532,90 @@ def all_shape_morphisms(semiring, max_rank, include_zero_rank=False):
     for n in range(low, max_rank + 1):
         for m in range(low, max_rank + 1):
             out.extend(M.enumerate_morphisms(semiring, n, m))
+    return out
+
+
+class UEnvelopeSemiring(S.Semiring):
+    """The envelope truncated at a total degree, exposed with the semiring
+    interface so the matrix-category machinery runs over it; with
+    ``hat_sigma_conjugate``, the carrier of acceptance criterion 13.
+
+    Products escaping the truncation raise DegreeCapExceeded rather than
+    silently dropping terms.
+    """
+
+    def __init__(self, envelope, degree_cap):
+        self.envelope = envelope
+        self.degree_cap = degree_cap
+        self.zero = envelope.zero()
+        self.one = envelope.one()
+        self.name = f"U({'/'.join(envelope.lie.labels)})<= {degree_cap}"
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        out = a * b
+        degree = out.degree()
+        if degree is not None and degree > self.degree_cap:
+            raise DegreeCapExceeded(
+                f"product degree {degree} escapes the cap {self.degree_cap}")
+        return out
+
+    def sample_element(self, rng):
+        return self.envelope.sample_element(
+            rng, max_degree=max(0, self.degree_cap // 2))
+
+    def try_unit_inverse(self, u):
+        if not is_unit(u):
+            return None
+        inv = self.envelope.ring.try_unit_inverse(u.constant_coefficient())
+        return self.envelope.scalar(inv)
+
+    def value_to_json(self, u):
+        K = self.envelope.ring
+        return [
+            [list(exp), K.value_to_json(c)]
+            for exp, c in sorted(u.coeffs.items())
+        ]
+
+    def key(self):
+        return ("uenv", self.envelope.key(), self.degree_cap)
+
+
+def hat_sigma_conjugate(sigma, nu, rng=None, linearity_samples=0):
+    """Apply a ring map of the envelope entrywise to a matrix over it.
+
+    This realizes conjugation of the module map by the coefficientwise
+    semilinear bijections; the result stays a module map.  Optionally runs
+    seeded scalar-linearity sample checks on the output.
+    """
+    carrier = nu.semiring
+    if not isinstance(carrier, UEnvelopeSemiring):
+        raise UnsupportedCarrier("the matrix must live over a truncated envelope")
+    out = nu.map_entries(sigma.apply)
+    for row in out.entries:
+        for entry in row:
+            degree = entry.degree()
+            if degree is not None and degree > carrier.degree_cap:
+                raise DegreeCapExceeded(
+                    f"conjugated entry degree {degree} escapes the cap")
+    if rng is not None and linearity_samples:
+        n = out.dom.rank
+        entry_degree = max(
+            (e.degree() or 0 for row in out.entries for e in row), default=0)
+        slack = max(0, carrier.degree_cap - entry_degree)
+        for _ in range(linearity_samples):
+            scalar = carrier.envelope.sample_element(
+                rng, max_degree=min(1, slack))
+            vector = tuple(
+                carrier.envelope.sample_element(
+                    rng, max_degree=max(0, slack - 1))
+                for _ in range(n))
+            scaled = tuple(carrier.mul(scalar, x) for x in vector)
+            left = out.act(scaled)
+            right = tuple(carrier.mul(scalar, x) for x in out.act(vector))
+            if left != right:
+                raise NotAnAutomorphism(
+                    f"conjugated matrix lost linearity at {scalar!r}")
     return out

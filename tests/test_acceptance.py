@@ -17,10 +17,12 @@ from semicat import matcat as M
 from semicat import semirings as S
 from semicat.harness import ExperimentConfig, emit_report, run_experiment
 from support import (
+    UEnvelopeSemiring,
     all_shape_morphisms,
     catalog_all,
     catalog_finite,
     catalog_infinite,
+    hat_sigma_conjugate,
     monomials_up_to,
     rejected_perturbations,
 )
@@ -294,13 +296,13 @@ def test_criterion_13_lift_and_hat():
     f5 = L.PrimeField(5)
     lie5 = L.sl2(f5)
     env5 = L.UniversalEnvelope(lie5)
-    carrier = L.UEnvelopeSemiring(env5, 3)
+    carrier = UEnvelopeSemiring(env5, 3)
     lifted5 = L.lift_semi_automorphism(L.chevalley_involution(lie5), envelope=env5)
     rng = random.Random("criterion13")
     nu = M.from_entries(carrier, [
         [env5.sample_element(rng, max_degree=1) for _ in range(2)]
         for _ in range(2)])
-    L.hat_sigma_conjugate(lifted5, nu, rng=rng, linearity_samples=200)
+    hat_sigma_conjugate(lifted5, nu, rng=rng, linearity_samples=200)
     _announce(13, "lift multiplicativity and conjugated-map linearity")
 
 

@@ -24,7 +24,14 @@ from semicat.errors import (
     UnsupportedCarrier,
 )
 from semicat._galois import factor_prime_power
-from support import monomials_up_to, whole_word_rewriting, word_exponents_up_to
+from support import (
+    UEnvelopeSemiring,
+    hat_sigma_conjugate,
+    monomials_up_to,
+    reference_sample_element,
+    whole_word_rewriting,
+    word_exponents_up_to,
+)
 
 Q = L.RationalField()
 Z = L.IntegerRing()
@@ -197,11 +204,41 @@ SPARSE_RINGS = (Z, Q, F5, GF4)
 
 
 def ring_values(K):
-    if K is Q:
-        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if K is Q:  # canonical ints and, for integral values, non-canonical Fractions
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) | st.integers(-3, 3)
     if K.is_finite:
         return st.sampled_from(list(K.elements()))
     return st.integers(-3, 3)
+
+
+def _check_accumulate(K, start, terms, c):
+    """_accumulate against a dense K.add/K.mul fold, values and their types."""
+    dense = [start.get(k, K.zero) for k in range(4)]
+    for k, x in terms:
+        dense[k] = K.add(dense[k], x if c is None else K.mul(c, x))
+    want = {k: x for k, x in enumerate(dense) if x != K.zero}
+    out = dict(start)
+    assert L._accumulate(K, out, terms, c) is out
+    assert out == want
+    assert {k: type(x) for k, x in out.items()} == {k: type(x) for k, x in want.items()}
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("K, start, terms, c", [
+    (Q, {}, [(0, HALF), (0, HALF)], None),  # cancels to the int 1
+    (Q, {0: HALF}, [(0, 1)], HALF),
+    (Q, {}, [(0, Fraction(2, 1)), (1, Fraction(-3, 1))], None),  # non-canonical in
+    (Q, {}, [(0, Fraction(4, 3))], Fraction(3, 2)),
+    (Q, {1: HALF}, [(1, -1)], HALF),  # cancels to zero
+    (Z, {0: 2}, [(0, -1), (1, 3)], 2),
+    (F5, {0: 4}, [(0, 3), (1, 4)], None),  # sums past p
+    (F5, {}, [(0, 3), (1, 2)], 4),
+    (GF4, {0: 1}, [(0, 2), (1, 3)], 3),
+])
+def test_accumulate_stores_canonical_values(K, start, terms, c):
+    _check_accumulate(K, start, terms, c)
 
 
 @given(st.data())
@@ -212,12 +249,7 @@ def test_accumulate_matches_dense_reference(data):
     start = L.clean_vector(K, data.draw(st.dictionaries(st.integers(0, 3), values)))
     terms = data.draw(st.lists(st.tuples(st.integers(0, 3), values), max_size=8))
     c = data.draw(st.none() | values)
-    dense = [start.get(k, K.zero) for k in range(4)]
-    for k, x in terms:
-        dense[k] = K.add(dense[k], x if c is None else K.mul(c, x))
-    out = dict(start)
-    assert L._accumulate(K, out, terms, c) is out
-    assert out == {k: x for k, x in enumerate(dense) if x != K.zero}
+    _check_accumulate(K, start, terms, c)
 
 
 def test_accumulate_cancels_exactly():
@@ -301,6 +333,40 @@ def _word_by_oracle(env, word, multiply=L.multiply_by_word_rewriting):
     for letter in word:
         out = multiply(out, env.generator(letter))
     return out
+
+
+@pytest.mark.parametrize("env", (sl2_env(Z), sl2_env(Q), sl2_env(F5), ORACLE_ENVELOPES[4]),
+                         ids=("Z", "Q", "zmod5", "restricted-zmod5"))
+def test_sample_element_draws_as_the_reference_construction(env):
+    new, old = random.Random(9), random.Random(9)
+    for t in range(200):
+        max_degree, terms = t % 9, 1 + t % 4  # degrees up to 8 reach p = 5
+        u = env.sample_element(new, max_degree, terms)
+        want = reference_sample_element(env, old, max_degree, terms)
+        assert u == want
+        assert [(e, type(c)) for e, c in u.coeffs.items()] == [
+            (e, type(c)) for e, c in want.coeffs.items()]
+        assert new.getstate() == old.getstate()
+
+
+def test_oracle_memo_is_shared_per_envelope_and_agrees_with_fresh_ones():
+    env = sl2_env(Q)
+    rng = random.Random(4)
+    for _ in range(50):
+        u, v = (env.sample_element(rng, max_degree=4, terms=3) for _ in range(2))
+        fresh = sl2_env(Q)
+        want = L.multiply_by_word_rewriting(fresh.element(u.coeffs), fresh.element(v.coeffs))
+        assert L.multiply_by_word_rewriting(u, v).coeffs == want.coeffs
+    assert len(env._segments) > len(fresh._segments) > 0  # kept across calls
+    # one L, with and without the p-map h^[5] = h: x_h^5 is h^5 in U(L), h in u(L)
+    lie = L.sl2(F5)
+    free = L.UniversalEnvelope(lie)
+    restricted = L.UniversalEnvelope(lie, restricted=L.RestrictedStructure(
+        p=5, images=({}, {1: 1}, {})))
+    for _ in range(2):  # each envelope after the other has filled its memo
+        assert _word_by_oracle(free, [1] * 5) == free.monomial((0, 5, 0))
+        assert _word_by_oracle(restricted, [1] * 5) == restricted.generator(1)
+    assert free._segments is not restricted._segments
 
 
 @given(st.data())
@@ -775,28 +841,28 @@ def test_coefficientwise_frobenius_lift():
 def test_hat_conjugation():
     lie = L.sl2(F5)
     env = L.UniversalEnvelope(lie)
-    carrier = L.UEnvelopeSemiring(env, 2)
+    carrier = UEnvelopeSemiring(env, 2)
     lifted = L.lift_semi_automorphism(L.chevalley_involution(lie), envelope=env)
     nu = M.from_entries(carrier, [[env.generator(2)]])
-    assert L.hat_sigma_conjugate(lifted, nu).entries[0][0] == env.generator(0)
+    assert hat_sigma_conjugate(lifted, nu).entries[0][0] == env.generator(0)
     ident = L.lift_semi_automorphism(
         L.LieSemiMorphism(lie, S.identity_automorphism(F5),
                           images=({0: 1}, {1: 1}, {2: 1})),
         envelope=env)
     rng = random.Random(19)
     sample = M.random_morphism(carrier, 2, 2, rng)
-    assert L.hat_sigma_conjugate(ident, sample) == sample
+    assert hat_sigma_conjugate(ident, sample) == sample
     # composing entrywise maps matches the composed map
     both = lifted.then(lifted)
-    lhs = L.hat_sigma_conjugate(lifted, L.hat_sigma_conjugate(lifted, sample))
-    assert lhs == L.hat_sigma_conjugate(both, sample)
+    lhs = hat_sigma_conjugate(lifted, hat_sigma_conjugate(lifted, sample))
+    assert lhs == hat_sigma_conjugate(both, sample)
     # conjugated matrices keep scalar linearity
-    L.hat_sigma_conjugate(lifted, sample, rng=random.Random(5), linearity_samples=20)
+    hat_sigma_conjugate(lifted, sample, rng=random.Random(5), linearity_samples=20)
 
 
 def test_degree_cap_enforced():
     env = sl2_env()
-    carrier = L.UEnvelopeSemiring(env, 2)
+    carrier = UEnvelopeSemiring(env, 2)
     deep = env.monomial((2, 0, 0))
     with pytest.raises(DegreeCapExceeded):
         carrier.mul(deep, env.generator(0))
@@ -808,10 +874,10 @@ def test_truncated_envelope_functor_extraction():
 
     lie = L.sl2(F5)
     env = L.UniversalEnvelope(lie)
-    carrier = L.UEnvelopeSemiring(env, 2)
+    carrier = UEnvelopeSemiring(env, 2)
     lifted = L.lift_semi_automorphism(L.chevalley_involution(lie), envelope=env)
     functor = M.BlackBoxFunctor(
-        carrier, lambda m: L.hat_sigma_conjugate(lifted, m), cap=2, name="hat")
+        carrier, lambda m: hat_sigma_conjugate(lifted, m), cap=2, name="hat")
     assert A.verify_functor(functor, seed=1).passed
     sigma = A.extract_sigma(functor, seed=1)
     rng = random.Random(23)
@@ -828,12 +894,12 @@ def test_truncated_envelope_extraction_semilinear_case():
     g4 = L.GaloisFieldRing(4)
     lie = L.abelian(g4, 2)
     env = L.UniversalEnvelope(lie)
-    carrier = L.UEnvelopeSemiring(env, 2)
+    carrier = UEnvelopeSemiring(env, 2)
     frob = g4.automorphisms()[1]
     theta = L.LieSemiMorphism(lie, frob, images=({0: g4.one}, {1: g4.one}))
     lifted = L.lift_semi_automorphism(theta, envelope=env)
     functor = M.BlackBoxFunctor(
-        carrier, lambda m: L.hat_sigma_conjugate(lifted, m), cap=2,
+        carrier, lambda m: hat_sigma_conjugate(lifted, m), cap=2,
         name="hat-frobenius")
     assert A.verify_functor(functor, seed=2).passed
     sigma = A.extract_sigma(functor, seed=2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicat import semirings as S
+from semicat._galois import gf_tables
 from semicat.errors import (
     AxiomViolation,
     IndexOutOfRange,
@@ -18,6 +19,7 @@ from support import (
     catalog_finite,
     catalog_infinite,
     matrix_ring_f2,
+    pairwise_gf_tables,
     permutation_automorphisms,
     rejected_perturbations,
     unrolled_axiom_witness,
@@ -263,6 +265,12 @@ def test_galois_tables_are_fields():
             for _ in range(p):
                 acc = gf.add(acc, x)
             assert acc == 0
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 27, 64, 81, 125, 128, 243, 256])
+def test_galois_tables_match_the_pairwise_polynomial_product(q):
+    add, mul, _, _ = gf_tables(q)
+    assert (add, mul) == pairwise_gf_tables(q)
 
 
 def test_product_semiring_swap_automorphism():
