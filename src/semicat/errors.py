@@ -271,10 +271,6 @@ class NonInvertibleStack(SemicatError):
     pass
 
 
-class CapMismatch(SemicatError):
-    pass
-
-
 class EquivalenceViolation(SemicatError):
     def __init__(self, witness, message=""):
         self.witness = witness

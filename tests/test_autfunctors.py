@@ -8,16 +8,19 @@ from semicat import autfunctors as A
 from semicat import matcat as M
 from semicat import semirings as S
 from semicat.errors import (
-    CapMismatch,
     EquivalenceViolation,
     InjectionsNotFixed,
     NonInvertibleFamily,
     SearchCapExceeded,
 )
 from support import (
+    CapMismatch,
     all_shape_morphisms,
     brute_force_inner_witness,
     catalog_finite,
+    compose_functors,
+    compose_semi_inner,
+    decompose_stable_inner,
     invertible_morphisms,
     matrix_ring_f2,
     pairwise_laws_hold,
@@ -223,6 +226,21 @@ def test_prefix_sum_certificate_catches_a_poisoned_carry_point(semiring, cap):
         functor = M.BlackBoxFunctor(semiring, poisoned, cap=cap, name="poisoned")
         assert A.linear_certificate(functor) is None, poison
         assert not pairwise_laws_hold(functor), poison
+
+
+def test_certificate_needs_the_zero_checks():
+    """On boolean at cap 1, F([r]) = [1] for both r passes every other check
+    of the certificate: phi is additive and multiplicative, and the rank-1
+    biproduct relations and decompositions hold.  But F([0]) = [1] is not
+    F(1 -> 0);F(0 -> 1) = [0], so composition fails, and only F(0) = 0
+    tells the certificate so."""
+    one = M.from_entries(B, [[B.one]])
+    functor = M.BlackBoxFunctor(
+        B, lambda f: one if f.dom.rank == f.cod.rank == 1 else f, cap=1, name="all-one")
+    assert A.linear_certificate(functor) is None
+    assert not pairwise_laws_hold(functor)
+    record = A.verify_functor(functor).record("composition-preservation")
+    assert (record.regime, record.status) == ("exhaustive", "fail")
 
 
 def _law_records(report):
@@ -492,7 +510,7 @@ def test_normalize_idempotent():
 def test_decompose_identity_isos():
     functor = skew(FROB)
     isos = M.IsoFamily.identities(F4, [M.FreeObject(1), M.FreeObject(2)])
-    stable, inner = A.decompose_stable_inner(functor, isos)
+    stable, inner = decompose_stable_inner(functor, isos)
     for f in all_shape_morphisms(F4, 2):
         assert stable.on_morphism(f) == functor.on_morphism(f)
         assert inner.on_morphism(f) == f
@@ -506,7 +524,7 @@ def test_decompose_conjugation_collapses():
     functor = A.semi_inner_functor(data)
     # the conjugating family itself splits the functor exactly
     isos = M.IsoFamily({M.FreeObject(n): family[n] for n in (1, 2)})
-    stable, _ = A.decompose_stable_inner(functor, isos)
+    stable, _ = decompose_stable_inner(functor, isos)
     for f in all_shape_morphisms(F4, 2):
         assert stable.on_morphism(f) == f
 
@@ -517,8 +535,8 @@ def test_decompose_recomposition():
     isos = M.IsoFamily({
         M.FreeObject(n): M.random_invertible(F4, n, rng)[0] for n in (1, 2)
     })
-    stable, inner = A.decompose_stable_inner(functor, isos)
-    recomposed = A.compose_functors(stable, inner)
+    stable, inner = decompose_stable_inner(functor, isos)
+    recomposed = compose_functors(stable, inner)
     for f in list(M.enumerate_morphisms(F4, 1, 1)) + [
             M.random_morphism(F4, 2, 2, rng) for _ in range(40)]:
         assert recomposed.on_morphism(f) == functor.on_morphism(f)
@@ -527,9 +545,9 @@ def test_decompose_recomposition():
 def test_compose_semi_inner_neutral_and_skew():
     ident = A.skew_inner_functor(S.identity_automorphism(F4), 2)
     frob_data = A.skew_inner_functor(FROB, 2)
-    composite = A.compose_semi_inner(ident, frob_data)
+    composite = compose_semi_inner(ident, frob_data)
     assert composite.sigma.perm == FROB.perm and not composite.family
-    both = A.compose_semi_inner(frob_data, frob_data)
+    both = compose_semi_inner(frob_data, frob_data)
     assert both.sigma.perm == S.identity_automorphism(F4).perm
 
 
@@ -537,16 +555,16 @@ def test_compose_semi_inner_matches_pointwise():
     rng = random.Random(41)
     a = A.random_semi_inner_data(F4, 2, rng, F4_GROUPS)
     b = A.random_semi_inner_data(F4, 2, rng, F4_GROUPS)
-    composite = A.semi_inner_functor(A.compose_semi_inner(a, b))
+    composite = A.semi_inner_functor(compose_semi_inner(a, b))
     assert A.verify_functor(composite).passed
-    pointwise = A.compose_functors(A.semi_inner_functor(a), A.semi_inner_functor(b))
+    pointwise = compose_functors(A.semi_inner_functor(a), A.semi_inner_functor(b))
     for f in all_shape_morphisms(F4, 2):
         assert composite.on_morphism(f) == pointwise.on_morphism(f)
 
 
 def test_compose_semi_inner_cap_mismatch():
     with pytest.raises(CapMismatch):
-        A.compose_semi_inner(
+        compose_semi_inner(
             A.skew_inner_functor(FROB, 2), A.skew_inner_functor(FROB, 3))
 
 
@@ -687,8 +705,8 @@ def test_certification_pipeline_for_composites():
                 semiring=semiring, sigma=ident,
                 family={n: M.random_invertible(semiring, n, rng)[0] for n in (1, 2)},
                 cap=2)
-            composite = A.compose_functors(
-                A.compose_functors(
+            composite = compose_functors(
+                compose_functors(
                     A.semi_inner_functor(inner_one),
                     skew(sigma)),
                 A.semi_inner_functor(inner_two))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -407,14 +408,62 @@ def test_integer_folds_over_q_agree_with_word_oracle(env, data):
         assert (type(c) is int) == (Fraction(c).denominator == 1)
 
 
+def _sl2_hef(ring):
+    """sl2 in the basis order (h, e, f), where [e, f] = h is a letter before e."""
+    two = ring.from_int(2)
+    return L.validate_lie(
+        ring, 3, {(0, 1): {1: two}, (0, 2): {2: ring.neg(two)}, (1, 2): {0: ring.one}},
+        labels=("h", "e", "f"))
+
+
+RESTRICTED_HEF = L.UniversalEnvelope(_sl2_hef(F5), restricted=L.RestrictedStructure(
+    p=5, images=({0: 1}, {}, {})))  # h^[5] = h
+RUN_ENVELOPES = ORACLE_ENVELOPES[:5] + (
+    L.UniversalEnvelope(_sl2_hef(Q)), RESTRICTED_HEF, sl2_env(GF4))
+
+
+@pytest.mark.parametrize("env", RUN_ENVELOPES, ids=(
+    "sl2-Q", "sl2-Z", "sl2-F7", "heisenberg-Z", "restricted-sl2-F5", "hef-sl2-Q",
+    "restricted-hef-sl2-F5", "sl2-GF4"))
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_run_steps_agree_with_word_oracle(env, data):
+    """Words of up to three runs x_j^a, a <= 12, so runs pass p = 2, 5 and 7: the
+    engine moves a letter past a whole run at once, the oracle a letter at a
+    time.  In the (h, e, f) basis, f past e^a brings in h, before e, so x_e
+    is folded in a letter at a time."""
+    runs = st.lists(st.tuples(st.integers(0, env.lie.dim - 1), st.integers(1, 12)),
+                    max_size=3)
+    left, right = ([x for x, a in data.draw(runs) for _ in range(a)] for _ in range(2))
+    u, v = (env.element(env.normal_form_word(tuple(word))) for word in (left, right))
+    assert u == _word_by_oracle(env, left) and v == _word_by_oracle(env, right)
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    v += env.scalar(env.ring.sample_element(rng))
+    assert u * v == L.multiply_by_word_rewriting(u, v)
+
+
+@pytest.mark.parametrize("env", (ORACLE_ENVELOPES[4], RESTRICTED_HEF),
+                         ids=("sl2-F5", "hef-sl2-F5"))
+def test_restricted_letter_times_every_monomial(env):
+    """x_i * m for every letter and every monomial m of u(L), against the
+    oracle.  In the (h, e, f) basis f * h^4 e brings in a fifth h, so that
+    bump would reach p and x_h^4 is folded in a letter at a time."""
+    dim, p = env.lie.dim, env.restricted.p
+    for exp in itertools.product(range(p), repeat=dim):
+        m = env.monomial(exp)
+        for i in range(dim):
+            x = env.generator(i)
+            assert x * m == L.multiply_by_word_rewriting(x, m)
+
+
 @pytest.mark.parametrize("ring, left, right, keys", (
-    (Z, (2,) * 12, (0,) * 12, 2106),
-    (Q, (2,) * 10, (0,) * 10, 1265),
-    (F7, (2, 1) * 5, (0, 1) * 5, 789)))
+    (Z, (2,) * 12, (0,) * 12, 608),
+    (Q, (2,) * 10, (0,) * 10, 393),
+    (F7, (2, 1) * 5, (0, 1) * 5, 342)))
 def test_product_memo_keys_are_pinned(ring, left, right, keys):
-    """The memo keys of `lie mul` on the word products below, as counted
-    before memo hits were answered inside the straightening step: the hits
-    skip the stack, but every key is still computed, and no other."""
+    """The memo keys of `lie mul` on the word products below, with x_i moved
+    past a whole run x_j^a in one straightening step: memo hits skip the
+    stack, but every key is still computed, and no other."""
     env = sl2_env(ring)
     u = env.element(env.normal_form_word(left))
     v = env.element(env.normal_form_word(right))
@@ -692,6 +741,8 @@ def test_verify_restricted_sl2_f5():
     assert report.passed
     names = [c.name for c in report.records]
     assert "bracket-power-basis" in names and "sum-power-basis-pairs" in names
+    # the same p-map in the basis (h, e, f)
+    assert L.verify_restricted(RESTRICTED_HEF.lie, RESTRICTED_HEF.restricted).passed
 
 
 def test_verify_restricted_rejects_wrong_pmap():
