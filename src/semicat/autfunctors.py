@@ -13,7 +13,6 @@ import math
 import random
 
 from .errors import (
-    EquivalenceViolation,
     InjectionsNotFixed,
     NonInvertibleStack,
     NotAnAutomorphism,
@@ -482,62 +481,6 @@ def inner_witness(functor, budget=DEFAULT_BUDGET, seed=0):
     _, sweep = _morphism_sweep(R, shapes, budget, seed, tag="inner-verify")
     ok, _ = witness.verify(functor, (f for (f,) in sweep))
     return witness if ok else None
-
-
-class ReductionReport(Record):
-    __slots__ = (
-        "rank", "monoid_fixed", "codiagonal_fixed", "unit_rows_fixed", "regime")
-    _json_extra = ("agree",)
-
-    def __init__(self, rank, monoid_fixed, codiagonal_fixed, unit_rows_fixed, regime):
-        self.rank = rank
-        self.monoid_fixed = monoid_fixed
-        self.codiagonal_fixed = codiagonal_fixed
-        self.unit_rows_fixed = unit_rows_fixed
-        self.regime = regime
-
-    @property
-    def left_side(self):
-        return self.monoid_fixed and self.codiagonal_fixed
-
-    @property
-    def right_side(self):
-        return self.unit_rows_fixed
-
-    @property
-    def agree(self):
-        return self.left_side == self.right_side
-
-
-def reduction_precondition_check(functor, n):
-    """Evaluate both sides of the triviality equivalence at rank n.
-
-    Side one: the functor fixes every endomorphism of F_n and the fold map
-    F_n -> F_1.  Side two: it fixes every morphism F_1 -> F_n.  For a genuine
-    additive functor these agree; a mismatch raises EquivalenceViolation and
-    certifies the black box is not a functor.
-    """
-    R = functor.semiring
-    system = BiproductSystem(R, n)
-    regime, endos = _morphism_sweep(
-        R, [((n, n),)], DEFAULT_BUDGET, 0, tag=f"reduction-endo-{n}")
-    monoid_fixed = all(functor.on_morphism(f) == f for (f,) in endos)
-    codiag_fixed = functor.on_morphism(system.codiagonal) == system.codiagonal
-    regime2, rows = _morphism_sweep(
-        R, [((1, n),)], DEFAULT_BUDGET, 0, tag=f"reduction-rows-{n}")
-    rows_fixed = all(functor.on_morphism(f) == f for (f,) in rows)
-    report = ReductionReport(
-        rank=n,
-        monoid_fixed=monoid_fixed,
-        codiagonal_fixed=codiag_fixed,
-        unit_rows_fixed=rows_fixed,
-        regime="exhaustive" if regime == regime2 == "exhaustive" else "sampled",
-    )
-    if not report.agree:
-        raise EquivalenceViolation(
-            report.to_json(),
-            "triviality sides disagree: the supplied map is not a functor")
-    return report
 
 
 # ---------------------------------------------------------------------------

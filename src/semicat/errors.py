@@ -271,12 +271,6 @@ class NonInvertibleStack(SemicatError):
     pass
 
 
-class EquivalenceViolation(SemicatError):
-    def __init__(self, witness, message=""):
-        self.witness = witness
-        super().__init__(message or f"equivalence violated, witness {witness!r}")
-
-
 class DegreeCapExceeded(SemicatError):
     pass
 

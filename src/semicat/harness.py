@@ -222,8 +222,9 @@ def _record_validate(rec, lie, restricted):
 def _record_restricted_axioms(rec, lie, restricted, seed, budget):
     """With a p-map, the ``restricted-axioms`` record: a pass when
     ``verify_restricted`` raises nothing, else a fail naming its error.
-    Its p-th powers are p repeated products each; the dim powers of the basis
-    are charged against the budget first."""
+    Its p-th powers take about 2 log2(p) products each, by repeated squaring;
+    the dim * p charged against the budget first bounds the work that grows
+    with p, the p - 1 bracket rounds of each ``s_polynomials`` call."""
     if restricted is not None:
         if lie.dim * restricted.p > budget:
             raise SearchCapExceeded(

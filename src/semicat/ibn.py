@@ -11,7 +11,6 @@ non-trivial types actually occur.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import Record, SearchCapExceeded, UnsupportedCarrier
 from .matcat import _mat_mul, from_entries, identity
@@ -56,9 +55,8 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
     the product of the column solution lists is walked in odometer order and
     the first B whose rows all solve is the witness.  That is the first
     witness a scan over every (A, B) pair would find.  ``search_cap`` caps the
-    steps: one per column vector tried and one per B;A check a walk of the
-    whole product would make, whether or not the row masks spare it.  Going
-    over it raises SearchCapExceeded.
+    steps: one per A scanned and one per B walked.  Going over it raises
+    SearchCapExceeded.
     """
     if n < 1 or m < 1:
         raise UnsupportedCarrier("witness search needs positive ranks")
@@ -80,21 +78,16 @@ def free_iso_witness(semiring, n, m, search_cap=DEFAULT_PAIR_CAP, shortcut=True)
     columns, rows = _DotMasks(R, m), _DotMasks(R, n, vector_left=True)
     steps = 0
     for a in _column_major_matrices(R, n, m):
-        steps += len(columns.vectors)
+        steps += 1
         if steps > search_cap:
             raise SearchCapExceeded(f"the witness search exceeds its cap of {search_cap} steps")
         solutions = [columns.vectors_of(columns.solve(a, t)) for t in range(n)]
-        count = math.prod(map(len, solutions))
-        if not count:
+        if not all(solutions):
             continue
         a_t = tuple(zip(*a))
         admissible = [rows.solve(a_t, j) for j in range(m)]
         if not all(admissible):
-            # every B;A check on this A would fail
-            steps += count
-            if steps > search_cap:
-                raise SearchCapExceeded(f"the witness search exceeds its cap of {search_cap} steps")
-            continue
+            continue  # every B;A check on this A would fail
         for cols in itertools.product(*solutions):
             steps += 1
             if steps > search_cap:

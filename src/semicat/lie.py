@@ -38,7 +38,7 @@ from .errors import (
 from .matcat import _mat_mul
 from .semirings import (
     MAX_TABLE_SIZE,
-    PermutationAutomorphism,
+    FiniteSemiring,
     Semiring,
     identity_automorphism,
 )
@@ -49,6 +49,19 @@ JACOBI_TRIPLE_CAP = 200_000
 
 # ---------------------------------------------------------------------------
 # exact coefficient rings
+
+
+def _power(mul, one, a, n):
+    """a^n by repeated squaring, low bits first: about 2 log2(n) products,
+    none by ``one`` and no squaring past the top bit."""
+    out = None
+    while n:
+        if n & 1:
+            out = a if out is None else mul(out, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return one if out is None else out
 
 
 class CoefficientRing(Semiring):
@@ -68,10 +81,7 @@ class CoefficientRing(Semiring):
         raise NotImplementedError
 
     def power(self, a, n):
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
+        return _power(self.mul, self.one, a, n)
 
     def is_unit(self, a):
         return self.try_unit_inverse(a) is not None
@@ -230,29 +240,17 @@ class PrimeField(CoefficientRing):
         return ("zmod", self.p)
 
 
-class GaloisFieldRing(CoefficientRing):
-    """GF(p^k) with table arithmetic; elements are indices as in the semiring view."""
-
-    is_finite = True
+class GaloisFieldRing(CoefficientRing, FiniteSemiring):
+    """GF(p^k) as the table semiring ``gf:<q>``, with negation and the prime
+    subfield added; elements are indices as in the semiring view."""
 
     def __init__(self, q):
         add, mul, p, k = gf_tables(q)
-        self.q = q
+        FiniteSemiring.__init__(self, add, mul, 0, 1, f"gf:{q}")
         self.p = p
         self.k = k
         self.characteristic = p
-        self.name = f"gf:{q}"
-        self.add_table = add
-        self.mul_table = mul
-        self.zero = 0
-        self.one = 1
-        self._neg = [next(b for b in range(q) if add[a][b] == 0) for a in range(q)]
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
+        self._neg = [row.index(0) for row in self.add_table]
 
     def neg(self, a):
         return self._neg[a]
@@ -263,35 +261,11 @@ class GaloisFieldRing(CoefficientRing):
             out = self.add(out, self.one)
         return out
 
-    def try_unit_inverse(self, a):
-        if a == 0:
-            return None
-        for b in range(self.q):
-            if self.mul_table[a][b] == self.one:
-                return b
-        return None
-
-    def sample_element(self, rng):
-        return rng.randrange(self.q)
-
-    def elements(self):
-        return range(self.q)
-
     def value_from_json(self, data):
         value = super().value_from_json(data)
-        if not 0 <= value < self.q:
+        if not 0 <= value < self.size:
             raise ParseError(f"{value} is not an element index of {self.name}")
         return value
-
-    def automorphisms(self):
-        """The Frobenius powers x -> x^(p^i), i = 0..k-1."""
-        return [
-            PermutationAutomorphism(
-                self, [self.power(a, self.p ** i) for a in range(self.q)])
-            for i in range(self.k)]
-
-    def key(self):
-        return ("gf", self.q)
 
 
 def coefficient_ring(spec):
@@ -676,11 +650,9 @@ def p_power(lie, restricted, vec):
 
 def _mat_pow_k(K, a, n):
     d = len(a)
-    out = tuple(
+    identity = tuple(
         tuple(K.one if i == j else K.zero for j in range(d)) for i in range(d))
-    for _ in range(n):
-        out = _mat_mul(K, out, a, d)
-    return out
+    return _power(lambda x, y: _mat_mul(K, x, y, d), identity, a, n)
 
 
 def verify_restricted(lie, restricted, seed=0):

@@ -589,10 +589,6 @@ class BlackBoxFunctor:
         return f"<functor {self.name} cap={self.cap}>"
 
 
-def identity_functor(semiring, cap=2):
-    return BlackBoxFunctor(semiring, lambda m: m, cap=cap, name="identity")
-
-
 def skeleton_transport(phi_bar, isos):
     """Extend a functor defined on canonical objects to labeled ones.
 

@@ -10,6 +10,7 @@ from semicat.errors import (
     AxiomViolation,
     DegreeCapExceeded,
     NotAnAutomorphism,
+    Record,
     SemicatError,
     SemiringMismatch,
     UnsupportedCarrier,
@@ -277,6 +278,15 @@ def reference_sample_element(envelope, rng, max_degree=2, terms=2):
     return envelope.element(out)
 
 
+def repeated_product_power(mul, one, a, n):
+    """a^n as n products one after another, the reference for the repeated
+    squaring of ``CoefficientRing.power`` and ``lie._mat_pow_k``."""
+    out = one
+    for _ in range(n):
+        out = mul(out, a)
+    return out
+
+
 def pairwise_gf_tables(q):
     """GF(q) add and mul tables by one polynomial product and reduction per
     pair of elements, the reference for ``_galois.gf_tables``."""
@@ -499,6 +509,78 @@ def compose_functors(first, second):
         object_action=lambda obj: second.on_object(first.on_object(obj)),
         cap=min(first.cap, second.cap),
         name=f"{first.name};{second.name}")
+
+
+def identity_functor(semiring, cap=2):
+    from semicat import matcat as M
+
+    return M.BlackBoxFunctor(semiring, lambda m: m, cap=cap, name="identity")
+
+
+class EquivalenceViolation(SemicatError):
+    def __init__(self, witness, message=""):
+        self.witness = witness
+        super().__init__(message or f"equivalence violated, witness {witness!r}")
+
+
+class ReductionReport(Record):
+    __slots__ = (
+        "rank", "monoid_fixed", "codiagonal_fixed", "unit_rows_fixed", "regime")
+    _json_extra = ("agree",)
+
+    def __init__(self, rank, monoid_fixed, codiagonal_fixed, unit_rows_fixed, regime):
+        self.rank = rank
+        self.monoid_fixed = monoid_fixed
+        self.codiagonal_fixed = codiagonal_fixed
+        self.unit_rows_fixed = unit_rows_fixed
+        self.regime = regime
+
+    @property
+    def left_side(self):
+        return self.monoid_fixed and self.codiagonal_fixed
+
+    @property
+    def right_side(self):
+        return self.unit_rows_fixed
+
+    @property
+    def agree(self):
+        return self.left_side == self.right_side
+
+
+def reduction_precondition_check(functor, n):
+    """Evaluate both sides of the triviality equivalence at rank n, the
+    reduction step of acceptance criterion 8.
+
+    Side one: the functor fixes every endomorphism of F_n and the fold map
+    F_n -> F_1.  Side two: it fixes every morphism F_1 -> F_n.  For a genuine
+    additive functor these agree; a mismatch raises EquivalenceViolation and
+    certifies the black box is not a functor.
+    """
+    from semicat.autfunctors import DEFAULT_BUDGET, _morphism_sweep
+    from semicat.matcat import BiproductSystem
+
+    R = functor.semiring
+    system = BiproductSystem(R, n)
+    regime, endos = _morphism_sweep(
+        R, [((n, n),)], DEFAULT_BUDGET, 0, tag=f"reduction-endo-{n}")
+    monoid_fixed = all(functor.on_morphism(f) == f for (f,) in endos)
+    codiag_fixed = functor.on_morphism(system.codiagonal) == system.codiagonal
+    regime2, rows = _morphism_sweep(
+        R, [((1, n),)], DEFAULT_BUDGET, 0, tag=f"reduction-rows-{n}")
+    rows_fixed = all(functor.on_morphism(f) == f for (f,) in rows)
+    report = ReductionReport(
+        rank=n,
+        monoid_fixed=monoid_fixed,
+        codiagonal_fixed=codiag_fixed,
+        unit_rows_fixed=rows_fixed,
+        regime="exhaustive" if regime == regime2 == "exhaustive" else "sampled",
+    )
+    if not report.agree:
+        raise EquivalenceViolation(
+            report.to_json(),
+            "triviality sides disagree: the supplied map is not a functor")
+    return report
 
 
 def brute_force_inner_witness(functor):

@@ -26,7 +26,9 @@ from support import (
     compose_semi_inner,
     decompose_stable_inner,
     hat_sigma_conjugate,
+    identity_functor,
     monomials_up_to,
+    reduction_precondition_check,
     rejected_perturbations,
 )
 
@@ -186,14 +188,14 @@ def test_criterion_08_reduction_machinery(semiring):
         assert witness is not None
         for f in everything:
             assert functor.on_morphism(f) == witness.conjugate(f)
-        assert A.reduction_precondition_check(functor, 2).agree
-    ident_report = A.reduction_precondition_check(
-        M.identity_functor(semiring, cap=2), 2)
+        assert reduction_precondition_check(functor, 2).agree
+    ident_report = reduction_precondition_check(
+        identity_functor(semiring, cap=2), 2)
     assert ident_report.agree and ident_report.left_side
     if semiring is GF4:
         skewed = A.semi_inner_functor(A.skew_inner_functor(FROBENIUS, 2))
         assert A.inner_witness(skewed) is None
-        frob_report = A.reduction_precondition_check(skewed, 2)
+        frob_report = reduction_precondition_check(skewed, 2)
         assert frob_report.agree and not frob_report.left_side
     _announce(8, f"inner witnesses over {semiring.name} and the refutations")
 

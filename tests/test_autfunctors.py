@@ -8,23 +8,25 @@ from semicat import autfunctors as A
 from semicat import matcat as M
 from semicat import semirings as S
 from semicat.errors import (
-    EquivalenceViolation,
     InjectionsNotFixed,
     NonInvertibleFamily,
     SearchCapExceeded,
 )
 from support import (
     CapMismatch,
+    EquivalenceViolation,
     all_shape_morphisms,
     brute_force_inner_witness,
     catalog_finite,
     compose_functors,
     compose_semi_inner,
     decompose_stable_inner,
+    identity_functor,
     invertible_morphisms,
     matrix_ring_f2,
     pairwise_laws_hold,
     pairwise_outer_group_experiment,
+    reduction_precondition_check,
     upper_triangular_boolean,
 )
 
@@ -113,7 +115,7 @@ def test_semi_inner_rejects_singular_family():
 
 
 def test_verify_functor_passes_identity_and_skew():
-    assert A.verify_functor(M.identity_functor(F4, cap=2)).passed
+    assert A.verify_functor(identity_functor(F4, cap=2)).passed
     assert A.verify_functor(skew(FROB)).passed
 
 
@@ -416,7 +418,7 @@ def test_extract_sigma_checks_an_identity_twist_against_the_morphism_itself():
     functor = M.BlackBoxFunctor(F4, almost_identity, cap=2, name="almost-identity")
     with pytest.raises(NotAnAutomorphism, match="does not reproduce"):
         A.extract_sigma(functor)
-    assert A.extract_sigma(M.identity_functor(F4, cap=2)).is_identity
+    assert A.extract_sigma(identity_functor(F4, cap=2)).is_identity
 
 
 def test_identity_map_automorphism_is_not_applied():
@@ -581,7 +583,7 @@ def test_inner_witness_reconstruction_and_fresh_samples():
 
 
 def test_inner_witness_identity():
-    witness = A.inner_witness(M.identity_functor(F4, cap=2))
+    witness = A.inner_witness(identity_functor(F4, cap=2))
     assert witness is not None
     assert all(witness.component(n).is_identity() for n in (1, 2))
 
@@ -669,9 +671,9 @@ def test_inner_witness_over_tropical():
 
 
 def test_reduction_check_identity_and_skew():
-    report = A.reduction_precondition_check(M.identity_functor(B, cap=2), 2)
+    report = reduction_precondition_check(identity_functor(B, cap=2), 2)
     assert report.left_side and report.right_side and report.agree
-    report = A.reduction_precondition_check(skew(FROB), 2)
+    report = reduction_precondition_check(skew(FROB), 2)
     assert not report.left_side and not report.right_side and report.agree
 
 
@@ -685,7 +687,7 @@ def test_reduction_check_catches_non_functor():
         return f
 
     with pytest.raises(EquivalenceViolation):
-        A.reduction_precondition_check(
+        reduction_precondition_check(
             M.BlackBoxFunctor(B, fake, cap=2, name="codiag-mover"), 2)
 
 

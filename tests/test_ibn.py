@@ -1,4 +1,5 @@
 import itertools
+import math
 import signal
 import time
 
@@ -138,16 +139,50 @@ def test_masks_solve_both_halves_of_a_witness():
                     assert rows.vectors_of(rows.solve(a_t, j)) == expected
 
 
+def _unmasked_search_steps(R, n, m):
+    """The steps of a search over n x m matrices A that finds no witness,
+    counted without the masks: every A is scanned, and for each A whose rows
+    all admit a solution of u A = e_j, every B with A;B = I is walked."""
+    elements = list(R.elements())
+
+    def dot(u, v):
+        out = R.zero
+        for x, y in zip(u, v):
+            out = R.add(out, R.mul(x, y))
+        return out
+
+    def unit(k, i):
+        return tuple(R.one if j == i else R.zero for j in range(k))
+
+    lefts = list(itertools.product(elements, repeat=n))
+    rights = list(itertools.product(elements, repeat=m))
+    steps = 0
+    for flat in itertools.product(elements, repeat=n * m):
+        a = [flat[i * m:(i + 1) * m] for i in range(n)]
+        steps += 1
+        columns = list(zip(*a))
+        if not all(any(tuple(dot(u, c) for c in columns) == unit(m, j) for u in lefts)
+                   for j in range(m)):
+            continue
+        # the B with A;B = I, column t of B solving A b = e_t
+        steps += math.prod(
+            sum(tuple(dot(row, b) for row in a) == unit(n, t) for b in rights)
+            for t in range(n))
+    return steps
+
+
 @pytest.mark.parametrize("semiring, n, m, cap", [
-    (S.zmod_semiring(3), 2, 3, 25_299),
-    (B, 2, 3, 560),
-    (S.zmod_semiring(3), 3, 2, 6_561),
-    (S.galois_semiring(4), 1, 2, 316),
+    (S.zmod_semiring(3), 2, 3, 729),
+    (B, 2, 3, 64),
+    (S.zmod_semiring(3), 3, 2, 729),
+    (S.galois_semiring(4), 1, 2, 16),
 ])
 def test_search_charges_every_check_of_the_scan(semiring, n, m, cap):
-    # the smallest caps that let these searches finish: one step per column
-    # vector tried and one per B;A check of a walk over every solution
-    # list, including the walks the row masks rule out
+    # the smallest caps that let these searches finish: one step per A
+    # scanned and one per B walked; over these carriers no A has both a
+    # column solution for every t and a row solution for every j, so no B
+    # is walked
+    assert _unmasked_search_steps(semiring, n, m) == cap
     with pytest.raises(SearchCapExceeded):
         ibn.free_iso_witness(semiring, n, m, search_cap=cap - 1, shortcut=False)
     assert ibn.free_iso_witness(semiring, n, m, search_cap=cap, shortcut=False) is None
@@ -170,12 +205,16 @@ def test_left_right_agreement():
 def test_search_cap():
     with pytest.raises(SearchCapExceeded):
         ibn.free_iso_witness(S.galois_semiring(4), 2, 3, search_cap=10, shortcut=False)
-    # the 27 column vectors tried for each of the 729 A, plus the B;A
-    # checks, are over this cap
+    # one step for each of the 3^6 A of zmod:3 at 2 -> 3
     zmod3 = S.zmod_semiring(3)
     with pytest.raises(SearchCapExceeded):
-        ibn.free_iso_witness(zmod3, 2, 3, search_cap=729 * 27, shortcut=False)
-    assert ibn.free_iso_witness(zmod3, 2, 3, search_cap=100_000, shortcut=False) is None
+        ibn.free_iso_witness(zmod3, 2, 3, search_cap=3**6 - 1, shortcut=False)
+    assert ibn.free_iso_witness(zmod3, 2, 3, search_cap=3**6, shortcut=False) is None
+    # on the one-element carrier the one A and the one B walked, which is
+    # the witness, are two steps
+    with pytest.raises(SearchCapExceeded):
+        ibn.free_iso_witness(TRIVIAL, 2, 3, search_cap=1, shortcut=False)
+    assert ibn.free_iso_witness(TRIVIAL, 2, 3, search_cap=2, shortcut=False) is not None
     with pytest.raises(UnsupportedCarrier):
         ibn.classify_type(B, 1)
 

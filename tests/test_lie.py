@@ -30,6 +30,7 @@ from support import (
     hat_sigma_conjugate,
     monomials_up_to,
     reference_sample_element,
+    repeated_product_power,
     whole_word_rewriting,
     word_exponents_up_to,
 )
@@ -63,7 +64,7 @@ def test_coefficient_ring_resolution():
 
 def test_galois_ring_frobenius():
     g4 = L.GaloisFieldRing(4)
-    autos = g4.automorphisms()
+    autos = S.automorphism_groups(g4).aut
     assert len(autos) == 2
     frob = autos[1]
     assert all(frob.apply(x) == g4.mul(x, x) for x in range(4))
@@ -72,17 +73,45 @@ def test_galois_ring_frobenius():
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64])
 def test_frobenius_powers_are_the_whole_automorphism_group(q):
-    frobenius = sorted(a.perm for a in L.GaloisFieldRing(q).automorphisms())
-    groups = S.automorphism_groups(S.galois_semiring(q))
-    assert frobenius == [a.perm for a in groups.aut]  # aut is sorted by perm
+    # the lie coefficient ring is the table semiring gf:<q> itself, so the
+    # one closure search runs on either and finds the k Frobenius powers
+    K = L.GaloisFieldRing(q)
+    assert K == S.galois_semiring(q)
+    frobenius = sorted(
+        tuple(K.power(a, K.p ** i) for a in K.elements()) for i in range(K.k))
+    for carrier in (K, S.galois_semiring(q)):
+        groups = S.automorphism_groups(carrier)
+        assert frobenius == [a.perm for a in groups.aut]  # aut is sorted by perm
 
 
 def test_identity_automorphism_on_every_coefficient_ring():
     rng = random.Random(11)
     for K in (Z, Q, F2, F5, GF4, L.PrimeField(1_000_003)):
         ident = S.identity_automorphism(K)
+        assert isinstance(ident, S.PermutationAutomorphism) == (K is GF4)
         for x in [K.zero, K.one] + [K.sample_element(rng) for _ in range(20)]:
             assert ident.apply(x) == x and ident.inverse_apply(x) == x
+
+
+@pytest.mark.parametrize("K", [Z, Q, L.PrimeField(7), GF4], ids=lambda K: K.name)
+def test_powers_by_squaring_match_repeated_products(K):
+    rng = random.Random(37)
+    lie = L.sl2(K)
+    identity = M.identity(K, 3).entries
+    mat_mul = lambda x, y: M._mat_mul(K, x, y, 3)
+    for _ in range(4):
+        a = K.sample_element(rng)
+        ad = lie.ad_matrix(L.clean_vector(K, {i: K.sample_element(rng) for i in range(3)}))
+        for n in list(range(13)) + [300]:
+            assert K.power(a, n) == repeated_product_power(K.mul, K.one, a, n)
+            assert L._mat_pow_k(K, ad, n) == repeated_product_power(
+                mat_mul, identity, ad, n), (ad, n)
+    # one squaring per bit below the top one and one product per further set
+    # bit: no product by one and no squaring past the top bit
+    for n in list(range(1, 13)) + [300]:
+        products = []
+        L._power(lambda x, y: products.append(1) or K.mul(x, y), K.one, K.one, n)
+        assert len(products) == n.bit_length() + bin(n).count("1") - 2 <= n - 1
 
 
 @given(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
@@ -881,7 +910,7 @@ def test_coefficientwise_frobenius_lift():
     g4 = L.GaloisFieldRing(4)
     lie = L.abelian(g4, 2)
     env = L.UniversalEnvelope(lie)
-    frob = g4.automorphisms()[1]
+    frob = S.automorphism_groups(g4).aut[1]
     theta = L.LieSemiMorphism(lie, frob, images=({0: g4.one}, {1: g4.one}))
     lifted = L.lift_semi_automorphism(theta, envelope=env)
     u = env.element({(2, 1): 2, (0, 0): 3})
@@ -946,7 +975,7 @@ def test_truncated_envelope_extraction_semilinear_case():
     lie = L.abelian(g4, 2)
     env = L.UniversalEnvelope(lie)
     carrier = UEnvelopeSemiring(env, 2)
-    frob = g4.automorphisms()[1]
+    frob = S.automorphism_groups(g4).aut[1]
     theta = L.LieSemiMorphism(lie, frob, images=({0: g4.one}, {1: g4.one}))
     lifted = L.lift_semi_automorphism(theta, envelope=env)
     functor = M.BlackBoxFunctor(

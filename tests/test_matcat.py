@@ -22,6 +22,7 @@ from support import (
     brute_force_inverse,
     catalog_all,
     catalog_finite,
+    identity_functor,
     invertible_morphisms,
     matrix_ring_f2,
     upper_triangular_boolean,
@@ -390,7 +391,7 @@ def _labeled_setup(semiring, rng):
 
 def test_skeleton_transport_trivial_isos():
     z2 = S.zmod_semiring(2)
-    phi = M.identity_functor(z2, cap=2)
+    phi = identity_functor(z2, cap=2)
     isos = M.IsoFamily.identities(z2, [M.FreeObject(1), M.FreeObject(2)])
     ext = M.skeleton_transport(phi, isos)
     for f in M.enumerate_morphisms(z2, 2, 2):
@@ -401,7 +402,7 @@ def test_skeleton_transport_identity_through_any_isos():
     z2 = S.zmod_semiring(2)
     rng = random.Random(8)
     _, isos = _labeled_setup(z2, rng)
-    ext = M.skeleton_transport(M.identity_functor(z2, cap=2), isos)
+    ext = M.skeleton_transport(identity_functor(z2, cap=2), isos)
     for dom in isos.objects():
         for cod in isos.objects():
             for _ in range(8):
@@ -452,7 +453,7 @@ def test_skeleton_transport_verifies_on_z2():
 
 def test_skeleton_transport_missing_iso():
     z2 = S.zmod_semiring(2)
-    phi = M.identity_functor(z2, cap=2)
+    phi = identity_functor(z2, cap=2)
     isos = M.IsoFamily.identities(z2, [M.FreeObject(1)])
     ext = M.skeleton_transport(phi, isos)
     with pytest.raises(MissingIso):
