@@ -214,22 +214,27 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
     as their counts.  If it fails or cannot run, ``_morphism_sweep`` decides
     the pairs: all of them when their number fits the budget, otherwise a
     seeded sample; it is also the path that names a concrete failing pair.
+    Images are memoized on finite carriers only: over the exact infinite
+    ones, hashing a morphism's entries costs more than the evaluation saved.
     """
     R = functor.semiring
     ranks = range(0, functor.cap + 1)
     report = VerificationReport(subject=functor.name, seed=seed)
-    image_cache = {}
     try:
         certified = linear_certificate(functor, budget)
     except SemicatError:
         certified = None
+    if R.is_finite:
+        image_cache = {}
 
-    def image_of(m):
-        got = image_cache.get(m)
-        if got is None:
-            got = functor.on_morphism(m)
-            image_cache[m] = got
-        return got
+        def image_of(m):
+            got = image_cache.get(m)
+            if got is None:
+                got = functor.on_morphism(m)
+                image_cache[m] = got
+            return got
+    else:
+        image_of = functor.on_morphism
 
     def obj(n):
         return functor.on_object(FreeObject(n))

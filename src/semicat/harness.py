@@ -228,8 +228,8 @@ def _record_restricted_axioms(rec, lie, restricted, seed, budget):
     if restricted is not None:
         if lie.dim * restricted.p > budget:
             raise SearchCapExceeded(
-                f"{lie.dim} basis p-th powers x {restricted.p} products exceed "
-                f"the budget {budget}")
+                f"{lie.dim} x {restricted.p} bracket rounds of s_polynomials "
+                f"exceed the budget {budget}")
         rec.run("restricted-axioms", "sampled",
                 lambda: verify_restricted(lie, restricted, seed=seed))
 

@@ -49,10 +49,13 @@ class FreeObject(tuple):
         return self.label
 
 
+_canonical = functools.cache(FreeObject)  # one F<n> per rank
+
+
 def _as_object(obj_or_rank):
     if isinstance(obj_or_rank, FreeObject):
         return obj_or_rank
-    return FreeObject(obj_or_rank)
+    return _canonical(obj_or_rank)
 
 
 class Morphism:
@@ -204,15 +207,13 @@ def _identity_entries(R, n):
 
 def identity(semiring, obj_or_rank):
     obj = _as_object(obj_or_rank)
-    return Morphism(semiring, obj, obj, _identity_entries(semiring, obj.rank))
+    return _trusted(semiring, obj, obj, _identity_entries(semiring, obj.rank))
 
 
 def zero_morphism(semiring, dom, cod):
     dom = _as_object(dom)
     cod = _as_object(cod)
-    return Morphism(
-        semiring, dom, cod,
-        tuple(tuple(semiring.zero for _ in range(cod.rank)) for _ in range(dom.rank)))
+    return _trusted(semiring, dom, cod, ((semiring.zero,) * cod.rank,) * dom.rank)
 
 
 def from_entries(semiring, entries, dom=None, cod=None):
@@ -310,9 +311,11 @@ def enumerate_morphisms(semiring, n, m, dom=None, cod=None):
 def random_morphism(semiring, n, m, rng, dom=None, cod=None):
     dom = _as_object(dom if dom is not None else n)
     cod = _as_object(cod if cod is not None else m)
-    entries = tuple(
-        tuple(semiring.sample_element(rng) for _ in range(m)) for _ in range(n))
-    return Morphism(semiring, dom, cod, entries)
+    if (dom.rank, cod.rank) != (n, m):
+        raise DimensionMismatch(f"{n} x {m} morphisms cannot run {dom} -> {cod}")
+    sample = semiring.sample_element
+    return _trusted(semiring, dom, cod, tuple(
+        [tuple([sample(rng) for _ in range(m)]) for _ in range(n)]))
 
 
 def _try_monomial_inverse(m):
@@ -421,7 +424,7 @@ def random_invertible(semiring, n, rng, cap=DEFAULT_INVERT_CAP):
 
 
 # ---------------------------------------------------------------------------
-# iso families, functors, skeleton transport
+# iso families and functors
 
 
 class IsoFamily:
@@ -587,21 +590,3 @@ class BlackBoxFunctor:
 
     def __repr__(self):
         return f"<functor {self.name} cap={self.cap}>"
-
-
-def skeleton_transport(phi_bar, isos):
-    """Extend a functor defined on canonical objects to labeled ones.
-
-    The extension conjugates through the supplied object isomorphisms: a
-    morphism is transported to the skeleton, pushed through phi_bar, and
-    transported back.  On canonical objects (identity isos) it agrees with
-    phi_bar exactly.  Rank-0 objects need no assignment: their isomorphism to
-    the skeleton is the unique empty morphism.
-    """
-
-    def action(f):
-        return isos.unconjugate(phi_bar.on_morphism(isos.conjugate(f)), f.dom, f.cod)
-
-    return BlackBoxFunctor(
-        phi_bar.semiring, action, cap=phi_bar.cap,
-        name=f"{phi_bar.name}^transported")

@@ -8,6 +8,7 @@ drift.  All values are immutable and every operation here is a pure function.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from fractions import Fraction
@@ -214,6 +215,10 @@ class IntegersSemiring(Semiring):
         return ("integers",)
 
 
+# a tropical draw is one of 68 values Fraction(n, d), each built once
+_tropical_draw = functools.cache(Fraction)
+
+
 class TropicalSemiring(Semiring):
     """Max-plus semiring over exact rationals; None is the additive zero."""
 
@@ -238,7 +243,7 @@ class TropicalSemiring(Semiring):
     def sample_element(self, rng):
         if rng.random() < 0.15:
             return None
-        return Fraction(rng.randrange(-8, 9), rng.choice((1, 2, 3, 4)))
+        return _tropical_draw(rng.randrange(-8, 9), rng.choice((1, 2, 3, 4)))
 
     def try_unit_inverse(self, x):
         return None if x is None else -x

@@ -517,6 +517,25 @@ def identity_functor(semiring, cap=2):
     return M.BlackBoxFunctor(semiring, lambda m: m, cap=cap, name="identity")
 
 
+def skeleton_transport(phi_bar, isos):
+    """Extend a functor defined on canonical objects to labeled ones.
+
+    The extension conjugates through the supplied object isomorphisms: a
+    morphism is transported to the skeleton, pushed through phi_bar, and
+    transported back.  On canonical objects (identity isos) it agrees with
+    phi_bar exactly.  Rank-0 objects need no assignment: their isomorphism to
+    the skeleton is the unique empty morphism.
+    """
+    from semicat import matcat as M
+
+    def action(f):
+        return isos.unconjugate(phi_bar.on_morphism(isos.conjugate(f)), f.dom, f.cod)
+
+    return M.BlackBoxFunctor(
+        phi_bar.semiring, action, cap=phi_bar.cap,
+        name=f"{phi_bar.name}^transported")
+
+
 class EquivalenceViolation(SemicatError):
     def __init__(self, witness, message=""):
         self.witness = witness

@@ -266,6 +266,29 @@ def test_certificate_over_budget_or_infinite_stays_sampled():
         assert (record.regime, record.status) == ("sampled", "pass")
 
 
+def test_sampled_sweep_over_tropical_names_the_same_failures():
+    """x -> x + 1 keeps max but breaks +: the seeded sweep of an infinite
+    carrier, which keeps no image memo, finds these failures at seed 5."""
+    tropical = S.TropicalSemiring()
+    shift = M.BlackBoxFunctor(
+        tropical, lambda f: f.map_entries(lambda x: None if x is None else x + 1),
+        cap=2, name="shift")
+    report = A.verify_functor(shift, budget=500, seed=5)
+    got = {r.name: (r.regime, r.status, r.checked, r.witness) for r in report.records}
+    assert got == {
+        "object-ranks": ("exhaustive", "pass", 3, None),
+        "identity-preservation": (
+            "exhaustive", "fail", 2, "identity at rank 1 moved: F1->F1[[Fraction(1, 1)]]"),
+        "zero-preservation": ("exhaustive", "pass", 9, None),
+        "addition-preservation": ("sampled", "pass", 200, None),
+        "composition-preservation": (
+            "sampled", "fail", 92,
+            "composition broken at F1->F1[[Fraction(-7, 4)]] ; F1->F1[[Fraction(2, 1)]]"),
+        "biproduct-images": (
+            "exhaustive", "fail", 1, "image injection/projection pairing broken at rank 1"),
+    }
+
+
 def test_certificate_work_is_linear_in_the_morphism_count():
     rng = random.Random(21)
     functor = A.semi_inner_functor(A.random_semi_inner_data(F4, 2, rng, F4_GROUPS))

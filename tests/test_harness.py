@@ -348,6 +348,17 @@ def test_cli_lie_mul_words_are_capped(capsys):
         assert f"at most {MAX_DEGREE_CAP} letters, not 65" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_p_map_whose_bracket_rounds_exceed_the_budget(tmp_path, capsys):
+    pmap = tmp_path / "pmap1000003.json"
+    pmap.write_text(json.dumps(
+        {"ring": "zmod:1000003", "dim": 1, "brackets": [], "pmap": [[0, [[0, 1]]]]}))
+    assert cli.main(["lie", "validate", "--file", str(pmap)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 1 x 1000003 bracket rounds of s_polynomials exceed "
+                   "the budget 200000\n")
+
+
 def test_cli_reports_identical_across_hash_seeds(tmp_path):
     restricted = tmp_path / "sl2-restricted.json"
     restricted.write_text(json.dumps({

@@ -12,8 +12,6 @@ USERS = SRC + [ROOT / "tests" / "test_acceptance.py"] + sorted(
 
 # name -> why it stays in src/ with no user there
 ALLOWED = {
-    "skeleton_transport": "the paper's extension of a functor on the skeleton "
-                          "to all free objects; tests/test_matcat.py checks it",
     "product_semiring": "builds the product carriers, such as zmod:2 x zmod:2, "
                         "that the automorphism and functor tests run on",
 }

@@ -25,6 +25,7 @@ from support import (
     identity_functor,
     invertible_morphisms,
     matrix_ring_f2,
+    skeleton_transport,
     upper_triangular_boolean,
 )
 
@@ -393,7 +394,7 @@ def test_skeleton_transport_trivial_isos():
     z2 = S.zmod_semiring(2)
     phi = identity_functor(z2, cap=2)
     isos = M.IsoFamily.identities(z2, [M.FreeObject(1), M.FreeObject(2)])
-    ext = M.skeleton_transport(phi, isos)
+    ext = skeleton_transport(phi, isos)
     for f in M.enumerate_morphisms(z2, 2, 2):
         assert ext.on_morphism(f) == phi.on_morphism(f)
 
@@ -402,7 +403,7 @@ def test_skeleton_transport_identity_through_any_isos():
     z2 = S.zmod_semiring(2)
     rng = random.Random(8)
     _, isos = _labeled_setup(z2, rng)
-    ext = M.skeleton_transport(identity_functor(z2, cap=2), isos)
+    ext = skeleton_transport(identity_functor(z2, cap=2), isos)
     for dom in isos.objects():
         for cod in isos.objects():
             for _ in range(8):
@@ -421,7 +422,7 @@ def test_skeleton_transport_naturality_square():
 
     full = M.BlackBoxFunctor(f4, full_action, cap=2, name="entrywise")
     restriction = M.BlackBoxFunctor(f4, full_action, cap=2, name="restricted")
-    ext = M.skeleton_transport(restriction, isos)
+    ext = skeleton_transport(restriction, isos)
     # canonical agreement
     for f in M.enumerate_morphisms(f4, 1, 2):
         assert ext.on_morphism(f) == full.on_morphism(f)
@@ -446,7 +447,7 @@ def test_skeleton_transport_verifies_on_z2():
     _, isos = _labeled_setup(z2, rng)
     skew = semi_inner_functor(
         skew_inner_functor(S.identity_automorphism(z2), 2))
-    ext = M.skeleton_transport(skew, isos)
+    ext = skeleton_transport(skew, isos)
     # the extension restricted to canonical objects is a verified functor
     assert verify_functor(ext).passed
 
@@ -455,9 +456,38 @@ def test_skeleton_transport_missing_iso():
     z2 = S.zmod_semiring(2)
     phi = identity_functor(z2, cap=2)
     isos = M.IsoFamily.identities(z2, [M.FreeObject(1)])
-    ext = M.skeleton_transport(phi, isos)
+    ext = skeleton_transport(phi, isos)
     with pytest.raises(MissingIso):
         ext.on_morphism(M.identity(z2, 2))
+
+
+def test_trusted_builds_equal_validated_morphisms():
+    for semiring in (S.galois_semiring(4), S.TropicalSemiring()):
+        rng = random.Random(3)
+        for n, m in itertools.product(range(4), repeat=2):
+            f = M.random_morphism(semiring, n, m, rng)
+            zero = M.zero_morphism(semiring, n, m)
+            for built in (f, zero):
+                assert built == M.Morphism(semiring, n, m, built.entries)
+            assert zero.entries == tuple((semiring.zero,) * m for _ in range(n))
+            one = M.identity(semiring, n)
+            assert one == M.Morphism(semiring, n, n, one.entries)
+            assert one.is_identity() and one.dom is one.cod
+    labeled = M.FreeObject(2, "A2")
+    assert M.zero_morphism(B, labeled, 1).dom is labeled
+    assert M.identity(B, labeled).dom is labeled
+    with pytest.raises(DimensionMismatch):
+        M.random_morphism(B, 1, 2, random.Random(0), dom=labeled)
+
+
+def test_as_object_interns_canonical_objects():
+    assert M._as_object(2) is M._as_object(2)
+    assert M._as_object(2).label == "F2" and M._as_object(2).is_canonical
+    assert M.identity(B, 2).dom is M._as_object(2)
+    with pytest.raises(DimensionMismatch):
+        M._as_object(-1)
+    with pytest.raises(DimensionMismatch):
+        M.zero_morphism(B, -1, 1)
 
 
 _TABLE_CARRIERS = catalog_finite() + [

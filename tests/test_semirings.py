@@ -420,3 +420,17 @@ def test_tropical_value_rendering():
 
     assert t.value_to_json(None) == "bottom"
     assert t.value_to_json(Fraction(3, 2)) == "3/2"
+
+
+def test_tropical_draws_keep_the_seeded_stream():
+    from fractions import Fraction
+
+    tropical = S.TropicalSemiring()
+    for seed in range(5):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            got = tropical.sample_element(rng)
+            want = None if oracle.random() < 0.15 else Fraction(
+                oracle.randrange(-8, 9), oracle.choice((1, 2, 3, 4)))
+            assert got == want and type(got) is type(want)
+        assert rng.getstate() == oracle.getstate()
