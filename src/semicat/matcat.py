@@ -293,13 +293,18 @@ def count_morphisms(semiring, n, m):
     return semiring.size ** (n * m)
 
 
-def enumerate_morphisms(semiring, n, m, dom=None, cod=None):
-    """All morphisms n -> m over a finite carrier, in row-major lexicographic order."""
-    elements = list(semiring.elements())
+def _hom_objects(n, m, dom, cod):
     dom = _as_object(dom if dom is not None else n)
     cod = _as_object(cod if cod is not None else m)
     if (dom.rank, cod.rank) != (n, m):
         raise DimensionMismatch(f"{n} x {m} morphisms cannot run {dom} -> {cod}")
+    return dom, cod
+
+
+def enumerate_morphisms(semiring, n, m, dom=None, cod=None):
+    """All morphisms n -> m over a finite carrier, in row-major lexicographic order."""
+    elements = list(semiring.elements())
+    dom, cod = _hom_objects(n, m, dom, cod)
     if n == 0 or m == 0:
         yield zero_morphism(semiring, dom, cod)
         return
@@ -309,10 +314,7 @@ def enumerate_morphisms(semiring, n, m, dom=None, cod=None):
 
 
 def random_morphism(semiring, n, m, rng, dom=None, cod=None):
-    dom = _as_object(dom if dom is not None else n)
-    cod = _as_object(cod if cod is not None else m)
-    if (dom.rank, cod.rank) != (n, m):
-        raise DimensionMismatch(f"{n} x {m} morphisms cannot run {dom} -> {cod}")
+    dom, cod = _hom_objects(n, m, dom, cod)
     sample = semiring.sample_element
     return _trusted(semiring, dom, cod, tuple(
         [tuple([sample(rng) for _ in range(m)]) for _ in range(n)]))
