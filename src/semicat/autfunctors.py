@@ -214,8 +214,8 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
     as their counts.  If it fails or cannot run, ``_morphism_sweep`` decides
     the pairs: all of them when their number fits the budget, otherwise a
     seeded sample; it is also the path that names a concrete failing pair.
-    Images are memoized on finite carriers only: over the exact infinite
-    ones, hashing a morphism's entries costs more than the evaluation saved.
+    A swept morphism carries its image, so each is evaluated once per
+    enumeration or draw and not once per pair; nothing is memoized.
     """
     R = functor.semiring
     ranks = range(0, functor.cap + 1)
@@ -224,17 +224,7 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
         certified = linear_certificate(functor, budget)
     except SemicatError:
         certified = None
-    if R.is_finite:
-        image_cache = {}
-
-        def image_of(m):
-            got = image_cache.get(m)
-            if got is None:
-                got = functor.on_morphism(m)
-                image_cache[m] = got
-            return got
-    else:
-        image_of = functor.on_morphism
+    image_of = functor.on_morphism
 
     def obj(n):
         return functor.on_object(FreeObject(n))
@@ -255,6 +245,15 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
         image = image_of(identity(R, n))
         if image != identity(R, obj(n)):
             return f"identity at rank {n} moved: {image!r}"
+        return None
+
+    def with_image(f):  # each morphism's image is evaluated once, not once per pair
+        return f, image_of(f)
+
+    def addition_broken(f_pair, g_pair):
+        (f, image_f), (g, image_g) = f_pair, g_pair
+        if image_of(f + g) != image_f + image_g:
+            return f"addition broken at {f!r} + {g!r}"
         return None
 
     def composition_broken(f_pair, g_pair):
@@ -279,14 +278,11 @@ def verify_functor(functor, budget=DEFAULT_BUDGET, seed=0):
     if certified is None:
         regime, cases = _morphism_sweep(
             R, [((n, m), (n, m)) for n in ranks for m in ranks if n * m > 0],
-            budget, seed, tag="addition")
-        law("addition-preservation", regime, cases,
-            lambda f, g: None if image_of(f + g) == image_of(f) + image_of(g)
-            else f"addition broken at {f!r} + {g!r}")
-        # each morphism carries its image, looked up once and not once per pair
+            budget, seed, tag="addition", each=with_image)
+        law("addition-preservation", regime, cases, addition_broken)
         regime, cases = _morphism_sweep(
             R, [((n, m), (m, k)) for n in ranks for m in ranks for k in ranks],
-            budget, seed, tag="composition", each=lambda f: (f, image_of(f)))
+            budget, seed, tag="composition", each=with_image)
         law("composition-preservation", regime, cases, composition_broken)
     else:
         for name, checks in zip(("addition-preservation", "composition-preservation"),

@@ -317,6 +317,23 @@ def test_verify_functor_rejects_rank_change():
          "image injection/projection pairing broken at rank 1", 1, None)]
 
 
+def test_sweeps_evaluate_each_factor_once_and_not_once_per_pair():
+    calls = []
+
+    def shift(f):
+        calls.append(f)
+        return M.zero_morphism(F4, f.dom.rank + 1, f.cod.rank + 1)
+
+    functor = M.BlackBoxFunctor(
+        F4, shift, object_action=lambda obj: M.FreeObject(obj.rank + 1),
+        cap=2, name="rank-shift")
+    records = _law_records(A.verify_functor(functor))
+    pairs = sum(r.checked for r in records)
+    morphisms = sum(M.count_morphisms(F4, n, m) for n in range(3) for m in range(3))
+    # one image per pair (of f + g or f ; g), plus each shape's factors once
+    assert pairs <= len(calls) <= pairs + 10 * morphisms
+
+
 def _record_values(report):
     return [(r.name, r.regime, r.status, r.witness, r.checked, r.seed)
             for r in report.records]
